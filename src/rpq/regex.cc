@@ -24,7 +24,18 @@ RegexPtr MakeNary(RegexKind kind, std::vector<RegexPtr> children) {
   return n;
 }
 
+/// Builds `child` followed by a postfix operator, folding stacked operators
+/// by their language identities: r** = r*, r++ = r+, r?? = r?, and every
+/// mixed pair (r*+, r+*, r*?, r?*, r+?, r?+) is r*. A built tree therefore
+/// never nests one postfix node directly under another, which keeps runs of
+/// operators like `a****` from growing the tree and the compiled automaton.
 RegexPtr MakeUnary(RegexKind kind, RegexPtr child) {
+  const RegexKind inner = child->kind;
+  if (inner == RegexKind::kStar || inner == RegexKind::kPlus ||
+      inner == RegexKind::kOpt) {
+    if (inner == kind) return child;
+    return MakeUnary(RegexKind::kStar, child->children[0]);
+  }
   auto n = std::make_shared<RegexNode>();
   n->kind = kind;
   n->children.push_back(std::move(child));
@@ -61,6 +72,9 @@ RegexPtr Invert(const RegexPtr& node) {
   return node;  // unreachable
 }
 
+// Recursive-descent parser. Nesting ('(' and '^') is capped so a hostile
+// expression cannot overflow the stack here or in the recursive passes over
+// the parsed tree (inversion, rendering, Thompson compilation).
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -79,6 +93,8 @@ class Parser {
   }
 
  private:
+  static constexpr int kMaxDepth = 256;
+
   bool AtEnd() const { return pos_ >= text_.size(); }
   char Peek() const { return text_[pos_]; }
   void SkipSpace() {
@@ -145,14 +161,22 @@ class Parser {
       return Error("expected label, '(' or '^'");
     }
     const char c = Peek();
+    if ((c == '^' || c == '(') && depth_ >= kMaxDepth) {
+      return Error("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    // depth_ is not unwound on error returns: an error ends the parse.
     if (c == '^') {
       ++pos_;
+      ++depth_;
       PQE_ASSIGN_OR_RETURN(RegexPtr inner, ParsePrimary());
+      --depth_;
       return Invert(inner);
     }
     if (c == '(') {
       ++pos_;
+      ++depth_;
       PQE_ASSIGN_OR_RETURN(RegexPtr inner, ParseAlt());
+      --depth_;
       SkipSpace();
       if (AtEnd() || Peek() != ')') {
         return Error("expected ')'");
@@ -174,6 +198,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open '(' and '^' around the current position
 };
 
 // Precedence tiers for minimal-parenthesis rendering.
@@ -217,8 +242,8 @@ void Render(const RegexNode& node, int parent_prec, std::string* out) {
     case RegexKind::kStar:
     case RegexKind::kPlus:
     case RegexKind::kOpt:
-      // Postfix operators bind to an already-postfix-or-atomic operand, so
-      // `prec` (not prec + 1) keeps stacked operators like `a*?` flat.
+      // The operand is a label or parenthesized: parsing folds stacked
+      // postfix operators, so it is never itself a postfix node.
       Render(*node.children[0], prec, out);
       out->push_back(node.kind == RegexKind::kStar   ? '*'
                      : node.kind == RegexKind::kPlus ? '+'

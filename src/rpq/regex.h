@@ -46,7 +46,9 @@ using RegexPtr = std::shared_ptr<const RegexNode>;
 ///   label    := [A-Za-z_][A-Za-z0-9_]*
 ///
 /// Whitespace is insignificant. `^e` is inverse traversal (2RPQ); it
-/// distributes over composite operands at parse time. The query is Boolean:
+/// distributes over composite operands at parse time. Stacked postfix
+/// operators fold at parse time by their language identities (`a**` is
+/// `a*`, `a+?` is `a*`), and '(' / '^' may nest at most 256 deep. The query is Boolean:
 /// it asks for the existence of vertices x, y and a path x ->* y whose label
 /// word (with orientation) matches the expression.
 class RpqQuery {

@@ -2,10 +2,7 @@
 #define PQE_SERVE_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,22 +105,8 @@ class PqeService {
   /// request over the updated pdb is a warm bind hit, and its answer is
   /// bit-identical to a cold evaluation of the updated database (the
   /// determinism contract; enforced by delta_rebind_test and E14).
-  /// Registered watchers are notified synchronously before returning.
   Result<UpdateStats> ApplyUpdate(ProbabilisticDatabase* pdb,
                                   const LabelDelta& delta) const;
-
-  /// Minimal subscription stub over ApplyUpdate: `callback` runs
-  /// synchronously inside every subsequent ApplyUpdate, after the delta has
-  /// been applied and the resident binds refreshed — so the callback can
-  /// evaluate immediately and hit the warm (already patched) bind, no
-  /// polling. Returns a token for Unwatch. A full Watch(query) API with
-  /// per-query filtering and push evaluation is future work (ROADMAP);
-  /// this hook is its substrate.
-  using WatchCallback =
-      std::function<void(const LabelDelta&, const UpdateStats&)>;
-  uint64_t Watch(WatchCallback callback) const;
-  /// Removes a watcher; false when the token is unknown.
-  bool Unwatch(uint64_t token) const;
 
  private:
   /// `inner_threads_override` > 0 pins the request's sampling thread count
@@ -150,10 +133,6 @@ class PqeService {
   mutable ServiceTelemetry telemetry_;
   std::unique_ptr<WorkloadRecorder> recorder_;
   Status capture_status_;
-
-  mutable std::mutex watch_mu_;
-  mutable uint64_t next_watch_token_ = 1;
-  mutable std::list<std::pair<uint64_t, WatchCallback>> watchers_;
 };
 
 }  // namespace serve

@@ -1,6 +1,6 @@
 #include "serve/workload.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -34,8 +34,21 @@ std::string ToHex(uint64_t v) {
   return buf;
 }
 
-uint64_t FromHex(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
+// The inverse of ToHex: "0x", then hex digits whose value fits in 64 bits,
+// and nothing else. strtoull would read junk as 0 and wrap on overflow, so a
+// corrupted capture would replay with a silently different seed or hash.
+Result<uint64_t> FromHex(std::string_view key, std::string_view text) {
+  std::string_view digits = text;
+  if (digits.substr(0, 2) == "0x") digits.remove_prefix(2);
+  const char* end = digits.data() + digits.size();
+  uint64_t value = 0;
+  const auto parsed = std::from_chars(digits.data(), end, value, 16);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    return Status::InvalidArgument(std::string(key) +
+                                   ": not a 64-bit hex value: \"" +
+                                   std::string(text) + "\"");
+  }
+  return value;
 }
 
 // Missing keys come back as the zero value — old captures with fewer fields
@@ -50,9 +63,10 @@ double GetNumber(const obs::JsonValue& obj, std::string_view key) {
   return v != nullptr && v->is_number() ? v->AsNumber() : 0.0;
 }
 
-uint64_t GetHex(const obs::JsonValue& obj, std::string_view key) {
+Result<uint64_t> GetHex(const obs::JsonValue& obj, std::string_view key) {
   const obs::JsonValue* v = obj.Find(key);
-  return v != nullptr && v->is_string() ? FromHex(v->AsString()) : 0;
+  if (v == nullptr || !v->is_string()) return uint64_t{0};
+  return FromHex(key, v->AsString());
 }
 
 Result<PqeMethod> MethodFromString(const std::string& name) {
@@ -100,15 +114,15 @@ Result<WorkloadRecord> ParseWorkloadRecord(std::string_view line) {
   if (r.target.empty()) r.target = "query";
   r.query = GetString(doc, "query");
   r.update_spec = GetString(doc, "update_spec");
-  r.labelling_hash = GetHex(doc, "labelling_hash");
-  r.config_hash = GetHex(doc, "config_hash");
+  PQE_ASSIGN_OR_RETURN(r.labelling_hash, GetHex(doc, "labelling_hash"));
+  PQE_ASSIGN_OR_RETURN(r.config_hash, GetHex(doc, "config_hash"));
   r.method = GetString(doc, "method");
   // Pre-kernel-mode captures carry no "kernels" key; they recorded the
   // then-only exact tier.
   r.kernels = GetString(doc, "kernels");
   if (r.kernels.empty()) r.kernels = "exact";
   r.epsilon = GetNumber(doc, "epsilon");
-  r.seed = GetHex(doc, "seed");
+  PQE_ASSIGN_OR_RETURN(r.seed, GetHex(doc, "seed"));
   r.deadline_ms =
       static_cast<uint64_t>(GetNumber(doc, "deadline_ms"));
   r.status = GetString(doc, "status");

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,10 +24,10 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "rpq/regex.h"
-#include "serve/faultsim.h"
 #include "serve/service.h"
 #include "serve/workload.h"
 #include "tools/fact_file.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -49,10 +50,6 @@ struct CliOptions {
   std::string replay_path;
   std::string update_spec;
   uint64_t deadline_ms = 0;
-  bool faultsim = false;
-  uint64_t faultsim_seed = 1;
-  size_t faultsim_sweep = 0;
-  bool faultsim_verbose = false;
   bool trace_text = false;
   bool trace_json = false;
   bool dump_metrics = false;
@@ -62,120 +59,120 @@ struct CliOptions {
 };
 
 // One flag: its spelling, its value placeholder (nullptr for booleans), the
-// help text (embedded '\n' continues on an indented line), and the setter.
-// Value flags accept both `--flag V` and `--flag=V`.
+// help text (embedded '\n' continues on an indented line), and the setter,
+// which returns false when the value does not parse. Value flags accept both
+// `--flag V` and `--flag=V`.
 struct FlagSpec {
   const char* name;
   const char* metavar;  // nullptr: boolean, setter receives nullptr
   const char* help;
-  void (*set)(CliOptions&, const char*);
+  bool (*set)(CliOptions&, const char*);
 };
+
+// Numeric flag values are strict: the whole token must parse, so `-1`,
+// `abc` and `0.1x` are usage errors rather than silently wrapped or zeroed.
+template <typename T>
+bool ParseUint(const char* text, T* out) {
+  uint64_t value = 0;
+  if (!pqe::ParseStrictUint64(text, &value) ||
+      value > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+bool ParseDouble(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') return false;
+  *out = value;
+  return true;
+}
 
 const FlagSpec kFlags[] = {
     {"--data", "FILE", "probabilistic database fact file (required)",
-     [](CliOptions& o, const char* v) { o.data_path = v; }},
+     [](CliOptions& o, const char* v) { o.data_path = v; return true; }},
     {"--query", "Q", "Boolean conjunctive query, e.g. 'R(x,y), S(y,z)'",
-     [](CliOptions& o, const char* v) { o.query_text = v; }},
+     [](CliOptions& o, const char* v) { o.query_text = v; return true; }},
     {"--rpq", "REGEX",
      "regular path query over edge labels, e.g. 'a/(b|c)*/d'\n"
      "(SPARQL property-path style: / concat, | alt, * + ?,\n"
      "^label inverse); evaluated instead of --query",
-     [](CliOptions& o, const char* v) { o.rpq_text = v; }},
+     [](CliOptions& o, const char* v) { o.rpq_text = v; return true; }},
     {"--method", "M",
      "auto|fpras|safe-plan|enumeration|karp-luby|\n"
      "exact-lineage|monte-carlo (default auto)",
-     [](CliOptions& o, const char* v) { o.method = v; }},
+     [](CliOptions& o, const char* v) { o.method = v; return true; }},
     {"--epsilon", "E", "target relative error (default 0.2)",
-     [](CliOptions& o, const char* v) { o.epsilon = std::atof(v); }},
+     [](CliOptions& o, const char* v) { return ParseDouble(v, &o.epsilon); }},
     {"--seed", "N", "RNG seed (default 42)",
-     [](CliOptions& o, const char* v) {
-       o.seed = std::strtoull(v, nullptr, 10);
-     }},
+     [](CliOptions& o, const char* v) { return ParseUint(v, &o.seed); }},
     {"--max-width", "W", "hypertree width budget (default 3)",
-     [](CliOptions& o, const char* v) {
-       o.max_width = std::strtoull(v, nullptr, 10);
-     }},
+     [](CliOptions& o, const char* v) { return ParseUint(v, &o.max_width); }},
     {"--threads", "N",
      "worker threads for the sampling loops (default:\n"
      "$PQE_THREADS, else 1; results do not depend on N)",
-     [](CliOptions& o, const char* v) {
-       o.num_threads = std::strtoull(v, nullptr, 10);
-     }},
+     [](CliOptions& o, const char* v) { return ParseUint(v, &o.num_threads); }},
     {"--kernels", "M",
      "sampling kernels: exact (default; bit-identical\n"
      "golden path) or fast (batched alias-table kernels,\n"
      "statistically equivalent)",
-     [](CliOptions& o, const char* v) { o.kernels = v; }},
+     [](CliOptions& o, const char* v) { o.kernels = v; return true; }},
     {"--ur", nullptr, "report uniform reliability instead of probability",
-     [](CliOptions& o, const char*) { o.uniform_reliability = true; }},
+     [](CliOptions& o, const char*) {
+       o.uniform_reliability = true;
+       return true;
+     }},
     {"--sample", "K", "print K sampled worlds conditioned on Q holding",
      [](CliOptions& o, const char* v) {
-       o.sample_worlds = std::strtoull(v, nullptr, 10);
+       return ParseUint(v, &o.sample_worlds);
      }},
     {"--server-batch", "F",
      "serve the queries in file F (one per line; # and\n"
      "blank lines skipped; 'rpq:' prefix marks a regular\n"
      "path query) through the prepared-query serving\n"
      "layer as one batch; --query is ignored",
-     [](CliOptions& o, const char* v) { o.server_batch_path = v; }},
+     [](CliOptions& o, const char* v) {
+       o.server_batch_path = v;
+       return true;
+     }},
     {"--deadline-ms", "N",
      "per-request wall-clock budget; an expired request\n"
      "returns a typed DeadlineExceeded status",
-     [](CliOptions& o, const char* v) {
-       o.deadline_ms = std::strtoull(v, nullptr, 10);
-     }},
+     [](CliOptions& o, const char* v) { return ParseUint(v, &o.deadline_ms); }},
     {"--trace", nullptr, "print the evaluation's span tree (timings)",
-     [](CliOptions& o, const char*) { o.trace_text = true; }},
+     [](CliOptions& o, const char*) { o.trace_text = true; return true; }},
     {"--trace=json", nullptr, "same, as a JSON document on stdout",
-     [](CliOptions& o, const char*) { o.trace_json = true; }},
+     [](CliOptions& o, const char*) { o.trace_json = true; return true; }},
     {"--metrics", nullptr, "dump the global metric registry as JSON",
-     [](CliOptions& o, const char*) { o.dump_metrics = true; }},
+     [](CliOptions& o, const char*) { o.dump_metrics = true; return true; }},
     {"--metrics=prom", nullptr, "same, in OpenMetrics/Prometheus text format",
      [](CliOptions& o, const char*) {
        o.dump_metrics = true;
        o.metrics_prom = true;
+       return true;
      }},
     {"--capture", "F",
      "(with --server-batch) append every served request\n"
      "to workload file F (JSONL)",
-     [](CliOptions& o, const char* v) { o.capture_path = v; }},
+     [](CliOptions& o, const char* v) { o.capture_path = v; return true; }},
     {"--update", "SPEC",
      "(with --server-batch) after the first round, apply\n"
      "the fact-probability delta SPEC (FACT=NUM/DEN,...)\n"
      "via the serving layer's incremental rebind and\n"
      "serve the batch again over the updated database",
-     [](CliOptions& o, const char* v) { o.update_spec = v; }},
+     [](CliOptions& o, const char* v) { o.update_spec = v; return true; }},
     {"--replay", "F",
      "re-execute workload file F through the serving\n"
      "layer and verify bit-identical answers",
-     [](CliOptions& o, const char* v) { o.replay_path = v; }},
+     [](CliOptions& o, const char* v) { o.replay_path = v; return true; }},
     {"--stats", nullptr,
      "print the service stats snapshot as JSON\n"
      "(server-batch and replay modes)",
-     [](CliOptions& o, const char*) { o.print_stats = true; }},
-    {"--faultsim-seed", "N",
-     "run the sharded-serving fault-injection harness\n"
-     "with seed N (self-contained; --data not needed):\n"
-     "crashes/drops/delays are injected from the seed's\n"
-     "derived schedule, surviving answers are checked\n"
-     "bit-for-bit against the unfaulted run, and the\n"
-     "seed is re-run to prove it replays exactly",
-     [](CliOptions& o, const char* v) {
-       o.faultsim = true;
-       o.faultsim_seed = std::strtoull(v, nullptr, 10);
-     }},
-    {"--faultsim-sweep", "K",
-     "run the harness for seeds 1..K (default 1);\n"
-     "exit status is non-zero if any seed fails",
-     [](CliOptions& o, const char* v) {
-       o.faultsim = true;
-       o.faultsim_sweep = std::strtoull(v, nullptr, 10);
-     }},
-    {"--faultsim-verbose", nullptr,
-     "print per-request outcomes of the faulted run",
-     [](CliOptions& o, const char*) { o.faultsim_verbose = true; }},
+     [](CliOptions& o, const char*) { o.print_stats = true; return true; }},
     {"--help", nullptr, "print this help",
-     [](CliOptions& o, const char*) { o.help = true; }},
+     [](CliOptions& o, const char*) { o.help = true; return true; }},
 };
 
 void Usage() {
@@ -204,7 +201,8 @@ void Usage() {
 }
 
 // Parses argv against kFlags. Returns false (after printing a diagnostic and
-// the usage text) on an unknown flag or a missing value.
+// the usage text) on an unknown flag or a missing value, and after printing a
+// diagnostic on a value that does not parse.
 bool ParseArgs(int argc, char** argv, CliOptions* out) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -236,7 +234,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       Usage();
       return false;
     }
-    match->set(*out, value);
+    if (!match->set(*out, value)) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", match->name, value);
+      return false;
+    }
   }
   return true;
 }
@@ -259,30 +260,6 @@ int main(int argc, char** argv) {
   if (cli.help) {
     Usage();
     return 0;
-  }
-
-  // Faultsim mode is self-contained: the harness generates its own workload
-  // (path queries over seeded layered databases), so no --data is needed.
-  if (cli.faultsim) {
-    bool all_ok = true;
-    const uint64_t first = cli.faultsim_sweep > 0 ? 1 : cli.faultsim_seed;
-    const uint64_t last =
-        cli.faultsim_sweep > 0 ? cli.faultsim_sweep : cli.faultsim_seed;
-    for (uint64_t s = first; s <= last; ++s) {
-      serve::FaultSimOptions fopt;
-      fopt.seed = s;
-      fopt.verbose = cli.faultsim_verbose;
-      auto report = serve::RunFaultSim(fopt);
-      if (!report.ok()) {
-        std::fprintf(stderr, "faultsim seed=%llu: %s\n",
-                     static_cast<unsigned long long>(s),
-                     report.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("%s\n", report->Summary().c_str());
-      all_ok = all_ok && report->ok();
-    }
-    return all_ok ? 0 : 1;
   }
 
   if (cli.data_path.empty() ||

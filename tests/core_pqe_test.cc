@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/pqe.h"
 #include "cq/builders.h"
 #include "eval/eval.h"
@@ -90,8 +92,11 @@ TEST(PqeAutomatonTest, UniformHalfReducesToUniformReliability) {
 // and probability models.
 // ---------------------------------------------------------------------------
 
+// All fields are 64-bit so PqeCase has no padding bytes: gtest prints a
+// parameter that has no PrintTo as its raw bytes, and CTest names each case
+// after that print.
 struct PqeCase {
-  int family;  // 0=path2, 1=star2, 2=h0, 3=cycle3
+  uint64_t family;  // 0=path2, 1=star2, 2=h0, 3=cycle3
   uint64_t seed;
   uint64_t max_den;
 };

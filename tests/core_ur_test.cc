@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/ur_construction.h"
 #include "cq/builders.h"
 #include "eval/eval.h"
@@ -75,7 +77,9 @@ TEST(UrConstructionTest, DecompositionIsBinarizedAndComplete) {
 // The bijection property across query families and random databases.
 // ---------------------------------------------------------------------------
 
-enum class Family {
+// 64-bit so UrCase has no padding bytes: gtest prints a parameter that has
+// no PrintTo as its raw bytes, and CTest names each case after that print.
+enum class Family : uint64_t {
   kPath2,
   kPath3,
   kStar3,

@@ -580,41 +580,6 @@ TEST(DeltaRebindTest, ServiceUpdateBitIdentityMatrix) {
   }
 }
 
-TEST(DeltaRebindTest, WatchRunsSynchronouslyInsideApplyUpdate) {
-  Fixture fx = MakePathFixture(100);
-  serve::PqeService::Options sopt;
-  sopt.engine = KernelOptions(KernelMode::kExact);
-  sopt.num_threads = 1;
-  serve::PqeService service(sopt);
-
-  size_t calls = 0;
-  size_t last_facts = 0;
-  const uint64_t token = service.Watch(
-      [&](const serve::LabelDelta& delta,
-          const serve::PqeService::UpdateStats& stats) {
-        ++calls;
-        last_facts = delta.facts.size();
-        // Runs after the resident binds were refreshed: a watcher can
-        // evaluate immediately and hit the warm bind.
-        EXPECT_EQ(stats.facts, delta.facts.size());
-      });
-
-  ProbabilisticDatabase pdb = fx.pdb;
-  const Probability p = pdb.probability(0);
-  serve::LabelDelta delta{{0}, {Probability{(p.num + 1) % (p.den + 1), p.den}}};
-  ASSERT_TRUE(service.ApplyUpdate(&pdb, delta).ok());
-  EXPECT_EQ(calls, 1u);  // synchronous: observed before ApplyUpdate returned
-  EXPECT_EQ(last_facts, 1u);
-
-  EXPECT_TRUE(service.Unwatch(token));
-  EXPECT_FALSE(service.Unwatch(token));  // unknown token
-  const Probability q = pdb.probability(0);
-  serve::LabelDelta delta2{{0},
-                           {Probability{(q.num + 1) % (q.den + 1), q.den}}};
-  ASSERT_TRUE(service.ApplyUpdate(&pdb, delta2).ok());
-  EXPECT_EQ(calls, 1u);  // removed watcher no longer fires
-}
-
 TEST(DeltaRebindTest, ConcurrentUpdatesAndBatchesStayDeterministic) {
   // The TSan target: one thread streams ApplyUpdate into its own database
   // while evaluator threads serve batches over private snapshots. All of

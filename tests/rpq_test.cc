@@ -92,6 +92,54 @@ TEST(RpqParseTest, ErrorsNameTheColumn) {
   }
 }
 
+TEST(RpqParseTest, DeepNestingIsATypedErrorNotACrash) {
+  // Past 256 levels of '(' or '^' the parser stops with a typed error naming
+  // the column of the first '(' / '^' over the limit; unbounded recursion
+  // here (and in the passes over the parsed tree) would overflow the stack.
+  const std::string deep =
+      std::string(10000, '(') + "Follows" + std::string(10000, ')');
+  auto q = RpqQuery::Parse(deep);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().message().find("nesting deeper than 256 at column 257"),
+            std::string::npos)
+      << q.status().ToString();
+
+  auto inverses = RpqQuery::Parse(std::string(10000, '^') + "a");
+  ASSERT_FALSE(inverses.ok());
+  EXPECT_EQ(inverses.status().code(), StatusCode::kInvalidArgument);
+
+  // Exactly at the limit still parses.
+  auto at_limit = RpqQuery::Parse(std::string(256, '(') + "a/b" +
+                                  std::string(256, ')'));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->Canonical(), "a/b");
+}
+
+TEST(RpqParseTest, StackedPostfixOperatorsFold) {
+  // A run of stars folds to one at parse time: same tree, same automaton,
+  // instead of one ε-closure layer per star.
+  auto stars = RpqQuery::Parse("Follows" + std::string(4000, '*'));
+  ASSERT_TRUE(stars.ok()) << stars.status().ToString();
+  auto one = RpqQuery::Parse("Follows*").MoveValue();
+  EXPECT_EQ(stars->Canonical(), one.Canonical());
+  EXPECT_EQ(rpq::CompileRegex(*stars)->num_states,
+            rpq::CompileRegex(one)->num_states);
+
+  struct Case {
+    const char* text;
+    const char* folded;
+  };
+  for (const Case& c :
+       {Case{"a**", "a*"}, Case{"a++", "a+"}, Case{"a??", "a?"},
+        Case{"a*+", "a*"}, Case{"a+*", "a*"}, Case{"a*?", "a*"},
+        Case{"a?*", "a*"}, Case{"a+?", "a*"}, Case{"a?+", "a*"},
+        Case{"((a*)*)", "a*"}, Case{"(a/b)+ ?", "(a/b)*"},
+        Case{"^(a+)*", "^a*"}}) {
+    EXPECT_EQ(Canon(c.text), c.folded) << c.text;
+  }
+}
+
 TEST(RpqParseTest, LabelsAndLinearChain) {
   auto q = RpqQuery::Parse("a/b/a").MoveValue();
   EXPECT_EQ(q.Labels(), (std::vector<std::string>{"a", "b"}));
@@ -201,6 +249,38 @@ TEST(RpqSkeletonTest, TriviallyTrueRegexHasProbabilityOne) {
   EXPECT_EQ(rpq::ExactRpqProbabilityByEnumeration(q, pdb)->Compare(
                 BigRational::One()),
             0);
+}
+
+// Folding a stacked operator pair must not change the query's language:
+// each pair answers the same as its folded form and as an equivalent regex
+// written without stacking.
+TEST(RpqSkeletonTest, FoldedPostfixPairsKeepTheirProbability) {
+  struct Case {
+    const char* pair;
+    const char* folded;
+    const char* unstacked;  // same language, no postfix-on-postfix
+  };
+  const char* kStarEquivalent = "a/a|a/b/b*/a";
+  for (const Case& c :
+       {Case{"**", "*", kStarEquivalent}, Case{"++", "+", "a/b/b*/a"},
+        Case{"??", "?", "a/a|a/b/a"}, Case{"*+", "*", kStarEquivalent},
+        Case{"+*", "*", kStarEquivalent}, Case{"*?", "*", kStarEquivalent},
+        Case{"?*", "*", kStarEquivalent}, Case{"+?", "*", kStarEquivalent},
+        Case{"?+", "*", kStarEquivalent}}) {
+    for (uint64_t seed : {3u, 7u}) {
+      ProbabilisticDatabase pdb = SmallKg(3, 2, seed);
+      auto value = [&](const std::string& text) {
+        auto q = RpqQuery::Parse(text).MoveValue();
+        return rpq::ExactRpqProbabilityByEnumeration(q, pdb).MoveValue();
+      };
+      const BigRational stacked = value(std::string("a/b") + c.pair + "/a");
+      EXPECT_EQ(
+          stacked.Compare(value(std::string("a/b") + c.folded + "/a")), 0)
+          << c.pair << " seed=" << seed;
+      EXPECT_EQ(stacked.Compare(value(c.unstacked)), 0)
+          << c.pair << " seed=" << seed;
+    }
+  }
 }
 
 TEST(RpqSkeletonTest, CyclicInstanceIsNotScanOrderable) {

@@ -5,6 +5,7 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -92,6 +93,11 @@ TEST(ThreadPoolTest, RethrowsFirstTaskException) {
                     [&](size_t i) {
                       started.fetch_add(1, std::memory_order_relaxed);
                       if (i == 0) throw std::runtime_error("task 0 failed");
+                      // Without real work the other threads can claim all
+                      // 999 tasks while task 0's exception is still
+                      // unwinding, which a loaded host makes likely.
+                      std::this_thread::sleep_for(
+                          std::chrono::microseconds(50));
                     }),
       std::runtime_error);
   // Unstarted tasks are skipped once the exception lands (in-flight tasks

@@ -1,11 +1,16 @@
 // Tests for the workload generators: determinism, shape guarantees, and
-// argument validation.
+// argument validation; and for the strictness of captured workload files.
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/projection.h"
 #include "cq/builders.h"
 #include "eval/eval.h"
+#include "serve/workload.h"
 #include "workload/generators.h"
 
 namespace pqe {
@@ -170,6 +175,48 @@ TEST(ProjectionTest, RejectsForeignQueryRelations) {
   auto small = MakePathQuery(2).MoveValue();
   Database db(small.schema);  // schema without R3
   EXPECT_FALSE(ProjectDatabase(db, qi.query).ok());
+}
+
+TEST(WorkloadFileTest, JunkHexSeedIsALineNumberedError) {
+  // A capture's 64-bit fields travel as hex strings. A corrupted one must
+  // fail the load with the line and the field named, not replay as seed 0
+  // or as a wrapped value.
+  serve::WorkloadRecord r;
+  r.request_id = 1;
+  r.seed = 0x3c6ef372fe94f854ull;
+  const std::string good = serve::FormatWorkloadRecord(r);
+  auto back = serve::ParseWorkloadRecord(good);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->seed, r.seed);
+
+  const std::string hex = "0x3c6ef372fe94f854";
+  const size_t at = good.find(hex);
+  ASSERT_NE(at, std::string::npos) << good;
+  for (const char* junk :
+       {"0xzz", "0x12g4", "", "0x", "-0x1", "0x1 ", "0x10000000000000000"}) {
+    std::string line = good;
+    line.replace(at, hex.size(), junk);
+    auto parsed = serve::ParseWorkloadRecord(line);
+    ASSERT_FALSE(parsed.ok()) << junk;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("seed"), std::string::npos)
+        << parsed.status().ToString();
+  }
+
+  const std::string path = "workload_test_junk_seed.jsonl";
+  {
+    std::ofstream out(path);
+    out << good << "\n";
+    std::string bad = good;
+    bad.replace(at, hex.size(), "0xnot-hex");
+    out << bad << "\n";
+  }
+  auto loaded = serve::LoadWorkloadFile(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find(path + ":2:"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace
