@@ -17,9 +17,16 @@
 // cross-checks that the cached estimate equals the legacy one bit for bit;
 // the largest oracle-feasible E4 cell (width 3 — the exact subset DP blows
 // its entry budget beyond that) is additionally checked against the exact
-// oracle within the configured ε band. --smoke shrinks both sweeps to their
-// two smallest cells for CI.
+// oracle within the configured ε band. --smoke shrinks the E4/E8 sweeps to
+// their two smallest cells, and the path sweep to l3 and l4, for CI.
+//
+// The E4/E8 cells run the tree route (CountNFTA). The path sweep runs path
+// CQs through the string route instead (PathPqeEstimate: §5.1 gadgets on
+// the Section 3 NFA, counted by CountNFA), recording only
+// pqe.bench.counting_hotpath.path.<point>.{legacy_ms,cached_ms,fast_ms,
+// speedup,fast_speedup}, with the same cached == legacy bit-identity check.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -28,6 +35,7 @@
 #include <limits>
 #include <string>
 
+#include "core/path_pqe.h"
 #include "core/pqe.h"
 #include "cq/builders.h"
 #include "obs/export.h"
@@ -218,6 +226,79 @@ void SweepQueryScaling(uint32_t max_len, size_t smoke_pool) {
   std::printf("\n");
 }
 
+// Path-route sweep: path query length 3..max_len on a fixed layered
+// database, estimated on the string route (CountNFA). Timings are the
+// fastest of three runs per mode: a cell is tens of milliseconds, so a
+// single run would put scheduler noise into the gated ratios.
+void SweepPathRoute(uint32_t max_len) {
+  std::printf(
+      "Path sweep — string route (CountNFA), path query length 3..%u, "
+      "layered width 3, density 0.7, median-of-3, best of 3 runs\n",
+      max_len);
+  std::printf("  %-10s %-12s %-12s %-12s %-8s %-8s %s\n", "cell",
+              "legacy_ms", "cached_ms", "fast_ms", "speedup", "fast_spd",
+              "log2(P)");
+  EstimatorConfig cfg;
+  cfg.epsilon = 0.25;
+  cfg.seed = 23;
+  cfg.pool_size = 64;
+  cfg.repetitions = 3;
+  cfg.num_threads = 1;
+  for (uint32_t len = 3; len <= max_len; ++len) {
+    auto qi = MakePathQuery(len).MoveValue();
+    LayeredGraphOptions opt;
+    opt.width = 3;
+    opt.density = 0.7;
+    opt.seed = len;
+    auto db = MakeLayeredPathDatabase(qi, opt).MoveValue();
+    ProbabilityModel pm;
+    pm.max_denominator = 8;
+    pm.seed = len + 5;
+    ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
+    // Best-of-3 wall time of one estimate under `mode_cfg`.
+    auto Time = [&](const EstimatorConfig& mode_cfg, PathPqeResult* out) {
+      double best = std::numeric_limits<double>::infinity();
+      for (int run = 0; run < 3; ++run) {
+        const auto t0 = std::chrono::steady_clock::now();
+        *out = PathPqeEstimate(qi.query, pdb, mode_cfg).MoveValue();
+        best = std::min(best, MillisSince(t0));
+      }
+      return best;
+    };
+    EstimatorConfig mode_cfg = cfg;
+    mode_cfg.disable_hotpath_caches = true;
+    PathPqeResult legacy;
+    const double legacy_ms = Time(mode_cfg, &legacy);
+    mode_cfg.disable_hotpath_caches = false;
+    PathPqeResult cached;
+    const double cached_ms = Time(mode_cfg, &cached);
+    // Draw-identical by construction, as on the tree route.
+    PQE_CHECK(cached.log2_probability == legacy.log2_probability);
+    PQE_CHECK(cached.string_count == legacy.string_count);
+    mode_cfg.kernel_mode = KernelMode::kFast;
+    PathPqeResult fast;
+    const double fast_ms = Time(mode_cfg, &fast);
+    PQE_CHECK(std::isfinite(fast.log2_probability));
+
+    const std::string prefix =
+        "pqe.bench.counting_hotpath.path.l" + std::to_string(len);
+    auto& reg = obs::MetricRegistry::Global();
+    reg.GetGauge(prefix + ".legacy_ms").Set(legacy_ms);
+    reg.GetGauge(prefix + ".cached_ms").Set(cached_ms);
+    reg.GetGauge(prefix + ".fast_ms").Set(fast_ms);
+    reg.GetGauge(prefix + ".speedup").Set(legacy_ms / cached_ms);
+    reg.GetGauge(prefix + ".fast_speedup").Set(cached_ms / fast_ms);
+    std::printf("  %-10s %-12.1f %-12.1f %-12.1f %-8.2f %-8.2f %-12.4f "
+                "hits=%zu misses=%zu\n",
+                ("path.l" + std::to_string(len)).c_str(), legacy_ms,
+                cached_ms, fast_ms, legacy_ms / cached_ms,
+                cached_ms / fast_ms, cached.log2_probability,
+                cached.stats.runstates_memo_hits,
+                cached.stats.runstates_memo_misses);
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 }  // namespace pqe
 
@@ -241,6 +322,7 @@ int main(int argc, char** argv) {
   // Smoke's cost saving comes from capping the width at 3.
   SweepDataScaling(smoke ? 3 : 7, smoke ? 96 : 0);
   SweepQueryScaling(smoke ? 3 : 7, smoke ? 24 : 0);
+  SweepPathRoute(smoke ? 4 : 6);
   std::printf("determinism: every cell's cached estimate matched the legacy "
               "estimate bit for bit\n");
   if (!metrics_out.empty()) {

@@ -114,7 +114,7 @@ std::vector<bool> Nfa::StatesAfter(const std::vector<SymbolId>& word) const {
   return current;
 }
 
-void Nfa::ActiveStep(const std::vector<StateId>& current, SymbolId symbol,
+void Nfa::ActiveStep(Span<StateId> current, SymbolId symbol,
                      std::vector<StateId>* next) const {
   EnsureAdjacency();
   next->clear();
@@ -138,7 +138,7 @@ std::vector<StateId> Nfa::ActiveStatesAfter(
   std::sort(current.begin(), current.end());
   std::vector<StateId> next;
   for (SymbolId symbol : word) {
-    ActiveStep(current, symbol, &next);
+    ActiveStep(Span<StateId>(current), symbol, &next);
     std::swap(current, next);
     if (current.empty()) break;
   }

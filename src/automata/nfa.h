@@ -91,8 +91,9 @@ class Nfa {
   /// One step of the sparse subset simulation: the sorted successor set of
   /// the sorted state set `current` under `symbol`, written into `*next`
   /// (scratch-friendly: reuses next's capacity). Exposed for the counting
-  /// layer's memoized membership oracle.
-  void ActiveStep(const std::vector<StateId>& current, SymbolId symbol,
+  /// layer's memoized membership oracle, whose sets are views into one
+  /// arena; `current` must not alias `*next`.
+  void ActiveStep(Span<StateId> current, SymbolId symbol,
                   std::vector<StateId>* next) const;
 
   /// Standard acceptance test.

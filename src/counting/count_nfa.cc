@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "counting/flat_bitset.h"
 #include "counting/weighted_pick.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/span.h"
 #include "util/thread_pool.h"
 
 namespace pqe {
@@ -28,7 +30,13 @@ constexpr size_t kDrawBatch = 256;
 // O(1) memory per sample.
 struct SampleRef {
   uint32_t transition = 0;  // index into nfa.transitions()
-  uint32_t prefix = 0;      // index into pool[from][l-1]
+  uint32_t prefix = 0;      // index into the pool of stratum (l-1, from)
+};
+
+// A run [off, off + len) of one of the counter's arenas.
+struct Slot {
+  uint32_t off = 0;
+  uint32_t len = 0;
 };
 
 class NfaCounter {
@@ -36,6 +44,7 @@ class NfaCounter {
   NfaCounter(const Nfa& nfa, size_t n, const EstimatorConfig& config)
       : nfa_(nfa),
         n_(n),
+        num_states_(nfa.NumStates()),
         config_(config),
         rng_(config.seed),
         fast_(config.kernel_mode == KernelMode::kFast),
@@ -43,31 +52,44 @@ class NfaCounter {
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
-    const size_t S = nfa_.NumStates();
     if (nfa_.initial_states().empty()) {
       return CountEstimate{ExtFloat(), stats_};
     }
     if (Cancelled()) return DeadlineError(0);
     pool_target_ = config_.ResolvePoolSize(n_);
-    if (cached_) reach_memo_.assign(n_ + 1, MemoLevel(S));
 
     ComputeFeasibility();
 
-    est_.assign(n_ + 1, std::vector<ExtFloat>(S));
-    pools_.assign(n_ + 1, std::vector<std::vector<SampleRef>>(S));
+    est_.assign((n_ + 1) * num_states_, ExtFloat());
+    pool_.assign((n_ + 1) * num_states_, Slot{});
+    // A pool holds at most pool_target_ samples (level 0: one), so this
+    // bound — what per-stratum vectors would reserve in total — spares the
+    // arenas every grow-and-copy.
+    const size_t max_pooled = stats_.strata_live * pool_target_;
+    pool_arena_.reserve(max_pooled);
+    if (cached_) reach_.reserve(max_pooled);
+    if (cached_) {
+      // The run-state set of the empty string — the sorted initial states —
+      // is the memo arena's first entry; level-0 slots all point at it.
+      reach_arena_ = nfa_.initial_states();
+      std::sort(reach_arena_.begin(), reach_arena_.end());
+      initial_reach_ = Slot{0, static_cast<uint32_t>(reach_arena_.size())};
+    }
     // Level 0: A(q, 0) = {λ} iff q is initial.
-    for (StateId q = 0; q < S; ++q) {
-      if (nfa_.IsInitial(q) && live_[0][q]) {
-        est_[0][q] = ExtFloat::FromUint64(1);
-        pools_[0][q].push_back(SampleRef{});  // the empty string
+    for (StateId q = 0; q < num_states_; ++q) {
+      if (nfa_.IsInitial(q) && live_.Test(At(0, q))) {
+        est_[At(0, q)] = ExtFloat::FromUint64(1);
+        pool_[At(0, q)] = Slot{static_cast<uint32_t>(pool_arena_.size()), 1};
+        pool_arena_.push_back(SampleRef{});  // the empty string
       }
     }
+    if (cached_) reach_.resize(pool_arena_.size());
     for (size_t l = 1; l <= n_; ++l) {
       // One cancellation poll per length stratum, plus finer-grained polls
       // in the rejection loops (an attempt budget can dominate a stratum).
       if (Cancelled()) return DeadlineError(l);
-      for (StateId q = 0; q < S; ++q) {
-        if (live_[l][q]) ProcessStratum(q, l);
+      for (StateId q = 0; q < num_states_; ++q) {
+        if (live_.Test(At(l, q))) ProcessStratum(q, l);
       }
       if (cancel_ != nullptr) cancel_->AddProgress(1);
     }
@@ -78,120 +100,129 @@ class NfaCounter {
   }
 
  private:
-  // live_[l][q]: A(q, l) is non-empty AND the stratum can still contribute to
-  // an accepting state at length n (forward-feasible ∧ backward-useful).
+  // Level-major index of the stratum (l, q) into est_, pool_ and live_.
+  size_t At(size_t l, StateId q) const { return l * num_states_ + q; }
+
+  // Arena index of the pooled sample idx of stratum (l, q).
+  uint32_t PoolIndex(size_t l, StateId q, uint32_t idx) const {
+    return pool_[At(l, q)].off + idx;
+  }
+
+  // live_ bit (l, q): A(q, l) is non-empty AND the stratum can still
+  // contribute to an accepting state at length n (forward-feasible ∧
+  // backward-useful).
   void ComputeFeasibility() {
-    const size_t S = nfa_.NumStates();
-    std::vector<std::vector<bool>> fwd(n_ + 1, std::vector<bool>(S, false));
-    for (StateId q : nfa_.initial_states()) fwd[0][q] = true;
+    const size_t cells = (n_ + 1) * num_states_;
+    FlatBitset fwd;
+    fwd.Assign(cells);
+    for (StateId q : nfa_.initial_states()) fwd.Set(At(0, q));
     for (size_t l = 1; l <= n_; ++l) {
       for (const Nfa::Transition& t : nfa_.transitions()) {
-        if (fwd[l - 1][t.from]) fwd[l][t.to] = true;
+        if (fwd.Test(At(l - 1, t.from))) fwd.Set(At(l, t.to));
       }
     }
-    std::vector<std::vector<bool>> bwd(n_ + 1, std::vector<bool>(S, false));
     if (config_.disable_backward_pruning) {
-      bwd = fwd;  // ablation mode: no usefulness pruning
+      live_ = fwd;  // ablation mode: no usefulness pruning
     } else {
-      for (StateId q = 0; q < S; ++q) {
-        if (nfa_.IsAccepting(q)) bwd[n_][q] = true;
+      // Backward usefulness first, then intersected with fwd in place.
+      live_.Assign(cells);
+      for (StateId q = 0; q < num_states_; ++q) {
+        if (nfa_.IsAccepting(q)) live_.Set(At(n_, q));
       }
       for (size_t l = n_; l-- > 0;) {
         for (const Nfa::Transition& t : nfa_.transitions()) {
-          if (bwd[l + 1][t.to]) bwd[l][t.from] = true;
+          if (live_.Test(At(l + 1, t.to))) live_.Set(At(l, t.from));
         }
       }
+      live_.AndWith(fwd);
     }
-    live_.assign(n_ + 1, std::vector<bool>(S, false));
-    for (size_t l = 0; l <= n_; ++l) {
-      for (StateId q = 0; q < S; ++q) {
-        live_[l][q] = fwd[l][q] && bwd[l][q];
-        ++stats_.strata_total;
-        if (live_[l][q]) ++stats_.strata_live;
-      }
-    }
+    stats_.strata_total += cells;
+    stats_.strata_live += live_.Count();
   }
 
-  // Materializes the string of pools_[l][q][idx] (length l).
+  // Materializes the string of pooled sample idx of stratum (l, q).
   std::vector<SymbolId> Materialize(StateId q, size_t l, uint32_t idx) const {
     std::vector<SymbolId> out(l);
-    size_t cur_l = l;
-    StateId cur_q = q;
-    uint32_t cur_idx = idx;
-    while (cur_l > 0) {
-      const SampleRef& ref = pools_[cur_l][cur_q][cur_idx];
+    uint32_t cur = PoolIndex(l, q, idx);
+    for (size_t cur_l = l; cur_l > 0; --cur_l) {
+      const SampleRef& ref = pool_arena_[cur];
       const Nfa::Transition& t = nfa_.transitions()[ref.transition];
       out[cur_l - 1] = t.symbol;
-      cur_q = t.from;
-      cur_idx = ref.prefix;
-      --cur_l;
+      cur = PoolIndex(cur_l - 1, t.from, ref.prefix);
     }
     return out;
   }
 
   // Memoized membership oracle: the sorted set of states the automaton can
-  // be in after reading the string of pools_[l][q][idx], keyed by the
-  // derivation reference itself — pools are append-only and only finalized
-  // strata are referenced, so entries never invalidate within a run. Shared
-  // prefixes across draws (and across strata: every ref chain ends in the
-  // same low strata) are simulated once instead of per check. Every reach
-  // set contains q, so an empty vector doubles as the "uncomputed" sentinel.
-  const std::vector<StateId>& ReachStates(StateId q, size_t l, uint32_t idx) {
+  // be in after reading the string of pooled sample idx of stratum (l, q),
+  // keyed by the sample's pool-arena index — pools are append-only and only
+  // finalized strata are referenced, so entries never invalidate within a
+  // run. Shared prefixes across draws (and across strata: every ref chain
+  // ends in the same low strata) are simulated once instead of per check.
+  // The sets live back to back in reach_arena_; reach_ holds one (offset,
+  // length) slot per pooled sample, parallel to pool_arena_. Every reach set
+  // contains q, so length 0 doubles as the "uncomputed" sentinel. The view
+  // returned is valid until the next call (a replay appends to the arena).
+  Span<StateId> ReachStates(StateId q, size_t l, uint32_t idx) {
     const Nfa::Transition* trans = nfa_.transitions().data();
     // Walk the ref chain down to the first memoized suffix (or level 0),
     // recording the uncomputed links.
     chain_.clear();
-    size_t cur_l = l;
-    StateId cur_q = q;
-    uint32_t cur_idx = idx;
-    while (true) {
-      std::vector<std::vector<StateId>>& slots = reach_memo_[cur_l][cur_q];
-      if (slots.size() < pools_[cur_l][cur_q].size()) {
-        slots.resize(pools_[cur_l][cur_q].size());
-      }
+    uint32_t cur = PoolIndex(l, q, idx);
+    for (size_t cur_l = l;; --cur_l) {
+      Slot& slot = reach_[cur];
       if (cur_l == 0) {
-        if (slots[cur_idx].empty()) {
+        if (slot.len == 0) {
           ++stats_.runstates_memo_misses;
-          std::vector<StateId> base = nfa_.initial_states();
-          std::sort(base.begin(), base.end());
-          slots[cur_idx] = std::move(base);
+          slot = initial_reach_;
         } else {
           ++stats_.runstates_memo_hits;
         }
         break;
       }
-      if (!slots[cur_idx].empty()) {
+      if (slot.len != 0) {
         ++stats_.runstates_memo_hits;
         break;
       }
       ++stats_.runstates_memo_misses;
-      chain_.push_back(ChainLink{cur_l, cur_q, cur_idx});
-      const SampleRef& ref = pools_[cur_l][cur_q][cur_idx];
-      const Nfa::Transition& t = trans[ref.transition];
-      cur_q = t.from;
-      cur_idx = ref.prefix;
-      --cur_l;
+      chain_.push_back(cur);
+      const SampleRef& ref = pool_arena_[cur];
+      cur = PoolIndex(cur_l - 1, trans[ref.transition].from, ref.prefix);
     }
-    // Replay upward: one subset-simulation step per uncomputed link.
+    // Replay upward: one subset-simulation step per uncomputed link, from
+    // the set `cur` ends the walk on. The predecessor view is re-taken each
+    // step, after the previous step's append may have moved the arena.
     for (size_t i = chain_.size(); i-- > 0;) {
-      const ChainLink& link = chain_[i];
-      const SampleRef& ref = pools_[link.l][link.q][link.idx];
-      const Nfa::Transition& t = trans[ref.transition];
-      const std::vector<StateId>& prev =
-          reach_memo_[link.l - 1][t.from][ref.prefix];
-      nfa_.ActiveStep(prev, t.symbol, &step_scratch_);
-      reach_memo_[link.l][link.q][link.idx] = step_scratch_;
+      const uint32_t link = chain_[i];
+      const Slot prev = reach_[cur];
+      nfa_.ActiveStep(Span<StateId>(reach_arena_.data() + prev.off, prev.len),
+                      trans[pool_arena_[link].transition].symbol,
+                      &step_scratch_);
+      PQE_CHECK(reach_arena_.size() + step_scratch_.size() <= UINT32_MAX);
+      reach_[link] = Slot{static_cast<uint32_t>(reach_arena_.size()),
+                          static_cast<uint32_t>(step_scratch_.size())};
+      reach_arena_.insert(reach_arena_.end(), step_scratch_.begin(),
+                          step_scratch_.end());
+      cur = link;
     }
-    return reach_memo_[l][q][idx];
+    const Slot out = reach_[cur];
+    return Span<StateId>(reach_arena_.data() + out.off, out.len);
   }
 
-  // A same-symbol group of incoming transitions (see ProcessStratum).
+  // A same-symbol group of incoming transitions (see ProcessStratum): the
+  // run members_[begin, end), and its canonical hits accepted_[acc_begin,
+  // acc_end).
+  struct Member {
+    SymbolId symbol;
+    uint32_t transition;
+  };
   struct Group {
-    std::vector<uint32_t> transitions;
-    std::vector<ExtFloat> weights;
+    uint32_t begin = 0;
+    uint32_t end = 0;
     ExtFloat weight_sum;
     ExtFloat estimate;
-    std::vector<SampleRef> accepted;
+    uint32_t acc_begin = 0;
+    uint32_t acc_end = 0;
   };
 
   // The drawer mode every weighted pick in this counter routes through —
@@ -211,18 +242,19 @@ class NfaCounter {
     const Nfa::Transition& t = trans[candidate.transition];
     ++stats_.membership_checks;
     std::vector<StateId> reach_storage;
-    const std::vector<StateId>* reach;
+    Span<StateId> reach;
     if (cached_) {
-      reach = &ReachStates(t.from, l - 1, candidate.prefix);
+      reach = ReachStates(t.from, l - 1, candidate.prefix);
     } else {
       reach_storage = nfa_.ActiveStatesAfter(
           Materialize(t.from, l - 1, candidate.prefix));
-      reach = &reach_storage;
+      reach = Span<StateId>(reach_storage);
     }
     uint32_t canonical = candidate.transition;
-    for (uint32_t other_idx : g.transitions) {
-      const Nfa::Transition& o = trans[other_idx];
-      if (std::binary_search(reach->begin(), reach->end(), o.from)) {
+    for (uint32_t m = g.begin; m < g.end; ++m) {
+      const uint32_t other_idx = members_[m].transition;
+      if (std::binary_search(reach.begin(), reach.end(),
+                             trans[other_idx].from)) {
         canonical = other_idx;
         break;
       }
@@ -235,8 +267,7 @@ class NfaCounter {
   // contiguous block of raw RNG words. cand_valid_[i] is 0 when the picked
   // transition's predecessor pool is empty (still counted as an attempt,
   // matching the scalar loop's `continue`).
-  void DrawCandidateBatch(const std::vector<uint32_t>& transitions,
-                          size_t batch, size_t l) {
+  void DrawCandidateBatch(const Group& g, size_t batch, size_t l) {
     const Nfa::Transition* trans = nfa_.transitions().data();
     words_.resize(2 * batch);
     rng_.FillBlock(words_.data(), 2 * batch);
@@ -248,12 +279,12 @@ class NfaCounter {
     for (size_t i = 0; i < batch; ++i) {
       const size_t pick =
           drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
-      const uint32_t trans_idx = transitions[pick];
-      const auto& prev_pool = pools_[l - 1][trans[trans_idx].from];
-      if (prev_pool.empty()) continue;
+      const uint32_t trans_idx = members_[g.begin + pick].transition;
+      const uint32_t prev_len = pool_[At(l - 1, trans[trans_idx].from)].len;
+      if (prev_len == 0) continue;
       cand_trans_[i] = trans_idx;
       cand_prefix_[i] = static_cast<uint32_t>(
-          Rng::BoundedFromWord(words_[2 * i + 1], prev_pool.size()));
+          Rng::BoundedFromWord(words_[2 * i + 1], prev_len));
       cand_valid_[i] = 1;
     }
   }
@@ -266,6 +297,38 @@ class NfaCounter {
     return *batch_hist_;
   }
 
+  // Groups the contributing incoming transitions of stratum (q, l) by
+  // symbol into members_/groups_: a stable sort by symbol makes each group
+  // one contiguous run. Groups come in ascending symbol order, and each
+  // keeps InTransitions order; the draw sequence (and with it every golden
+  // estimate) is defined in that order.
+  void BuildGroups(StateId q, size_t l) {
+    const Nfa::Transition* trans = nfa_.transitions().data();
+    members_.clear();
+    groups_.clear();
+    for (uint32_t idx : nfa_.InTransitions(q)) {
+      const Nfa::Transition& t = trans[idx];
+      const size_t from = At(l - 1, t.from);
+      if (!live_.Test(from) || est_[from].IsZero()) continue;
+      members_.push_back(Member{t.symbol, idx});
+    }
+    std::stable_sort(members_.begin(), members_.end(),
+                     [](const Member& a, const Member& b) {
+                       return a.symbol < b.symbol;
+                     });
+    for (uint32_t m = 0; m < members_.size(); ++m) {
+      if (m == 0 || members_[m].symbol != members_[m - 1].symbol) {
+        Group g;
+        g.begin = g.end = m;
+        groups_.push_back(g);
+      }
+      Group& g = groups_.back();
+      ++g.end;
+      g.weight_sum = g.weight_sum.Add(
+          est_[At(l - 1, trans[members_[m].transition].from)]);
+    }
+  }
+
   // Stratum estimate for A(q, l) = ∪_t A(from(t), l−1)·symbol(t).
   // Transitions with distinct symbols append distinct last characters, so
   // the union decomposes into an exact sum over symbol groups; only within
@@ -273,33 +336,21 @@ class NfaCounter {
   // witness estimator (with its exact prefix-membership oracle) needed.
   void ProcessStratum(StateId q, size_t l) {
     const Nfa::Transition* trans = nfa_.transitions().data();
-    std::map<SymbolId, Group> groups;
-    for (uint32_t idx : nfa_.InTransitions(q)) {
-      const Nfa::Transition& t = trans[idx];
-      if (!live_[l - 1][t.from]) continue;
-      const ExtFloat& w = est_[l - 1][t.from];
-      if (w.IsZero()) continue;
-      Group& g = groups[t.symbol];
-      g.transitions.push_back(idx);
-      g.weights.push_back(w);
-      g.weight_sum = g.weight_sum.Add(w);
-    }
-    if (groups.empty()) return;  // estimate stays 0
+    BuildGroups(q, l);
+    if (groups_.empty()) return;  // estimate stays 0
+    accepted_.clear();
 
     auto DrawRef = [&](uint32_t trans_idx, SampleRef* out) {
-      const Nfa::Transition& t = trans[trans_idx];
-      const auto& prev_pool = pools_[l - 1][t.from];
-      if (prev_pool.empty()) return false;
+      const uint32_t prev_len = pool_[At(l - 1, trans[trans_idx].from)].len;
+      if (prev_len == 0) return false;
       out->transition = trans_idx;
-      out->prefix =
-          static_cast<uint32_t>(rng_.NextBounded(prev_pool.size()));
+      out->prefix = static_cast<uint32_t>(rng_.NextBounded(prev_len));
       return true;
     };
 
     ExtFloat total_estimate;
-    for (auto& [symbol, g] : groups) {
-      (void)symbol;
-      if (g.transitions.size() == 1) {
+    for (Group& g : groups_) {
+      if (g.end - g.begin == 1) {
         g.estimate = g.weight_sum;  // no overlap possible
         total_estimate = total_estimate.Add(g.estimate);
         continue;
@@ -308,8 +359,15 @@ class NfaCounter {
       // (the legacy ablation path redoes the scan-and-scale work per draw;
       // legacy and cached both consume one NextDouble per pick, so their
       // draws are bit-identical; the alias mode is the fast tier).
-      drawer_.Prepare(DrawMode(), g.weights, &stats_);
+      draw_weights_.clear();
+      for (uint32_t m = g.begin; m < g.end; ++m) {
+        draw_weights_.push_back(
+            est_[At(l - 1, trans[members_[m].transition].from)]);
+      }
+      drawer_.Prepare(DrawMode(), draw_weights_, &stats_);
       const size_t max_attempts = config_.attempt_factor * pool_target_ + 64;
+      const size_t acc_begin = accepted_.size();
+      auto hits = [&] { return accepted_.size() - acc_begin; };
       size_t attempts = 0;
       if (fast_) {
         // Batched SoA kernel: draw a block of candidates at once, then run
@@ -317,66 +375,67 @@ class NfaCounter {
         // counts as attempts even when the pool target is crossed mid-batch
         // — the extra canonical hits just enrich the resample pool, and
         // accepted/attempts stays a per-attempt acceptance-rate estimate.
-        while (g.accepted.size() < pool_target_ && attempts < max_attempts) {
+        while (hits() < pool_target_ && attempts < max_attempts) {
           if (Cancelled()) break;
           const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
-          DrawCandidateBatch(g.transitions, batch, l);
+          DrawCandidateBatch(g, batch, l);
           for (size_t i = 0; i < batch; ++i) {
             if (cand_valid_[i] == 0) continue;
             const SampleRef candidate{cand_trans_[i], cand_prefix_[i]};
-            if (IsCanonical(g, candidate, l)) g.accepted.push_back(candidate);
+            if (IsCanonical(g, candidate, l)) accepted_.push_back(candidate);
           }
           attempts += batch;
         }
       } else {
-        while (g.accepted.size() < pool_target_ && attempts < max_attempts) {
+        while (hits() < pool_target_ && attempts < max_attempts) {
           ++attempts;
           if ((attempts & 255u) == 0 && Cancelled()) break;
           const size_t pick = drawer_.Draw(&rng_);
           SampleRef candidate;
-          if (!DrawRef(g.transitions[pick], &candidate)) continue;
-          if (IsCanonical(g, candidate, l)) g.accepted.push_back(candidate);
+          if (!DrawRef(members_[g.begin + pick].transition, &candidate)) {
+            continue;
+          }
+          if (IsCanonical(g, candidate, l)) accepted_.push_back(candidate);
         }
       }
       stats_.attempts += attempts;
-      stats_.accepted += g.accepted.size();
-      if (g.accepted.empty()) {
+      stats_.accepted += hits();
+      if (hits() == 0) {
         // Statistically negligible when attempts >> group size (acceptance
         // is >= 1/|group|); force one biased sample so a live stratum never
         // reports a false zero.
         ++stats_.forced_samples;
         const size_t pick = drawer_.Draw(&rng_);
         SampleRef forced;
-        if (DrawRef(g.transitions[pick], &forced)) {
-          g.accepted.push_back(forced);
+        if (DrawRef(members_[g.begin + pick].transition, &forced)) {
+          accepted_.push_back(forced);
           g.estimate = g.weight_sum.Scale(
               1.0 / static_cast<double>(attempts + 1));
         }
       } else {
-        g.estimate = g.weight_sum.Scale(
-            static_cast<double>(g.accepted.size()) /
-            static_cast<double>(attempts));
+        g.estimate = g.weight_sum.Scale(static_cast<double>(hits()) /
+                                        static_cast<double>(attempts));
       }
+      g.acc_begin = static_cast<uint32_t>(acc_begin);
+      g.acc_end = static_cast<uint32_t>(accepted_.size());
       total_estimate = total_estimate.Add(g.estimate);
     }
-    est_[l][q] = total_estimate;
+    est_[At(l, q)] = total_estimate;
     if (total_estimate.IsZero()) return;
 
     // Pool: mixture over groups proportional to their estimates; singleton
     // groups draw fresh, overlapping groups resample their canonical hits.
-    std::vector<const Group*> group_list;
-    std::vector<ExtFloat> group_weights;
-    for (const auto& [symbol, g] : groups) {
-      (void)symbol;
+    group_list_.clear();
+    group_weights_.clear();
+    for (const Group& g : groups_) {
       if (g.estimate.IsZero()) continue;
-      group_list.push_back(&g);
-      group_weights.push_back(g.estimate);
+      group_list_.push_back(&g);
+      group_weights_.push_back(g.estimate);
     }
-    if (group_list.size() > 1) {
-      drawer_.Prepare(DrawMode(), group_weights, &stats_);
+    if (group_list_.size() > 1) {
+      drawer_.Prepare(DrawMode(), group_weights_, &stats_);
     }
-    auto& pool = pools_[l][q];
-    pool.reserve(pool_target_);
+    const size_t pool_begin = pool_arena_.size();
     if (fast_) {
       // Batched mixture: one word for the group pick, one for the index
       // within the group (fresh prefix for singleton groups, canonical-hit
@@ -389,40 +448,49 @@ class NfaCounter {
         BatchSizeHist().Observe(batch);
         for (size_t i = 0; i < batch; ++i) {
           const Group& g =
-              group_list.size() == 1
-                  ? *group_list[0]
-                  : *group_list[drawer_.DrawFromDouble(
+              group_list_.size() == 1
+                  ? *group_list_[0]
+                  : *group_list_[drawer_.DrawFromDouble(
                         Rng::DoubleFromWord(words_[2 * i]))];
           const uint64_t word = words_[2 * i + 1];
-          if (g.transitions.size() == 1) {
-            const auto& prev_pool =
-                pools_[l - 1][trans[g.transitions[0]].from];
-            if (prev_pool.empty()) continue;
-            pool.push_back(SampleRef{
-                g.transitions[0],
-                static_cast<uint32_t>(
-                    Rng::BoundedFromWord(word, prev_pool.size()))});
-          } else if (!g.accepted.empty()) {
-            pool.push_back(g.accepted[Rng::BoundedFromWord(
-                word, g.accepted.size())]);
+          if (g.end - g.begin == 1) {
+            const uint32_t trans_idx = members_[g.begin].transition;
+            const uint32_t prev_len =
+                pool_[At(l - 1, trans[trans_idx].from)].len;
+            if (prev_len == 0) continue;
+            pool_arena_.push_back(SampleRef{
+                trans_idx,
+                static_cast<uint32_t>(Rng::BoundedFromWord(word, prev_len))});
+          } else if (g.acc_end != g.acc_begin) {
+            pool_arena_.push_back(accepted_[
+                g.acc_begin +
+                Rng::BoundedFromWord(word, g.acc_end - g.acc_begin)]);
           }
         }
         done += batch;
       }
     } else {
       for (size_t i = 0; i < pool_target_; ++i) {
-        const Group& g = group_list.size() == 1
-                             ? *group_list[0]
-                             : *group_list[drawer_.Draw(&rng_)];
-        if (g.transitions.size() == 1) {
+        const Group& g = group_list_.size() == 1
+                             ? *group_list_[0]
+                             : *group_list_[drawer_.Draw(&rng_)];
+        if (g.end - g.begin == 1) {
           SampleRef sample;
-          if (DrawRef(g.transitions[0], &sample)) pool.push_back(sample);
-        } else if (!g.accepted.empty()) {
-          pool.push_back(g.accepted[rng_.NextBounded(g.accepted.size())]);
+          if (DrawRef(members_[g.begin].transition, &sample)) {
+            pool_arena_.push_back(sample);
+          }
+        } else if (g.acc_end != g.acc_begin) {
+          pool_arena_.push_back(accepted_[
+              g.acc_begin + rng_.NextBounded(g.acc_end - g.acc_begin)]);
         }
       }
     }
-    stats_.pool_entries += pool.size();
+    PQE_CHECK(pool_arena_.size() <= UINT32_MAX);
+    const size_t pool_len = pool_arena_.size() - pool_begin;
+    pool_[At(l, q)] = Slot{static_cast<uint32_t>(pool_begin),
+                           static_cast<uint32_t>(pool_len)};
+    if (cached_) reach_.resize(pool_arena_.size());
+    stats_.pool_entries += pool_len;
   }
 
   // |L_n| = |∪_{q ∈ F} A(q, n)| via the same canonical-witness estimator
@@ -430,11 +498,11 @@ class NfaCounter {
   Result<CountEstimate> Finalize() {
     std::vector<StateId> finals;
     std::vector<ExtFloat> weights;
-    for (StateId q = 0; q < nfa_.NumStates(); ++q) {
-      if (!nfa_.IsAccepting(q) || !live_[n_][q]) continue;
-      if (est_[n_][q].IsZero()) continue;
+    for (StateId q = 0; q < num_states_; ++q) {
+      if (!nfa_.IsAccepting(q) || !live_.Test(At(n_, q))) continue;
+      if (est_[At(n_, q)].IsZero()) continue;
       finals.push_back(q);
-      weights.push_back(est_[n_][q]);
+      weights.push_back(est_[At(n_, q)]);
     }
     if (finals.empty()) {
       return CountEstimate{ExtFloat(), stats_};
@@ -453,16 +521,16 @@ class NfaCounter {
     auto AcceptsCanonically = [&](StateId q, uint32_t idx) {
       ++stats_.membership_checks;
       std::vector<StateId> reach_storage;
-      const std::vector<StateId>* reach;
+      Span<StateId> reach;
       if (cached_) {
-        reach = &ReachStates(q, n_, idx);
+        reach = ReachStates(q, n_, idx);
       } else {
         reach_storage = nfa_.ActiveStatesAfter(Materialize(q, n_, idx));
-        reach = &reach_storage;
+        reach = Span<StateId>(reach_storage);
       }
       StateId canonical = q;
       for (StateId other : finals) {
-        if (std::binary_search(reach->begin(), reach->end(), other)) {
+        if (std::binary_search(reach.begin(), reach.end(), other)) {
           canonical = other;
           break;
         }
@@ -481,10 +549,10 @@ class NfaCounter {
           const size_t pick =
               drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
           const StateId q = finals[pick];
-          const auto& pool = pools_[n_][q];
-          if (pool.empty()) continue;
+          const uint32_t pool_len = pool_[At(n_, q)].len;
+          if (pool_len == 0) continue;
           const uint32_t idx = static_cast<uint32_t>(
-              Rng::BoundedFromWord(words_[2 * i + 1], pool.size()));
+              Rng::BoundedFromWord(words_[2 * i + 1], pool_len));
           if (AcceptsCanonically(q, idx)) ++accepted;
         }
         attempts += batch;
@@ -495,10 +563,10 @@ class NfaCounter {
         if ((attempts & 255u) == 0 && Cancelled()) break;
         const size_t pick = drawer_.Draw(&rng_);
         const StateId q = finals[pick];
-        const auto& pool = pools_[n_][q];
-        if (pool.empty()) continue;
+        const uint32_t pool_len = pool_[At(n_, q)].len;
+        if (pool_len == 0) continue;
         const uint32_t idx =
-            static_cast<uint32_t>(rng_.NextBounded(pool.size()));
+            static_cast<uint32_t>(rng_.NextBounded(pool_len));
         if (AcceptsCanonically(q, idx)) ++accepted;
       }
     }
@@ -526,6 +594,7 @@ class NfaCounter {
 
   const Nfa& nfa_;
   const size_t n_;
+  const size_t num_states_;
   const EstimatorConfig& config_;
   Rng rng_;
   const bool fast_;    // batched fast kernels (kernel_mode = kFast)
@@ -533,21 +602,28 @@ class NfaCounter {
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
-  std::vector<std::vector<bool>> live_;                       // [l][q]
-  std::vector<std::vector<ExtFloat>> est_;                    // [l][q]
-  std::vector<std::vector<std::vector<SampleRef>>> pools_;    // [l][q]
+  // Level-major stratum tables, indexed by At(l, q).
+  FlatBitset live_;
+  std::vector<ExtFloat> est_;
+  std::vector<Slot> pool_;             // run of pool_arena_ per stratum
+  std::vector<SampleRef> pool_arena_;  // every pool, back to back
+
+  // Run-state memo (ReachStates): one slot per pooled sample, parallel to
+  // pool_arena_, viewing sorted sets stored back to back in reach_arena_.
+  std::vector<Slot> reach_;
+  std::vector<StateId> reach_arena_;
+  Slot initial_reach_;
 
   // Hot-path scratch, reused across draws and strata.
-  using MemoLevel = std::vector<std::vector<std::vector<StateId>>>;
-  struct ChainLink {
-    size_t l;
-    StateId q;
-    uint32_t idx;
-  };
   IndexDrawer drawer_;
-  std::vector<MemoLevel> reach_memo_;  // [l][q][pool idx] -> sorted states
-  std::vector<ChainLink> chain_;
+  std::vector<uint32_t> chain_;  // uncomputed memo links, top first
   std::vector<StateId> step_scratch_;
+  std::vector<Member> members_;  // symbol groups of the current stratum
+  std::vector<Group> groups_;
+  std::vector<SampleRef> accepted_;  // every group's canonical hits
+  std::vector<ExtFloat> draw_weights_;
+  std::vector<const Group*> group_list_;
+  std::vector<ExtFloat> group_weights_;
   // Fast-kernel SoA arenas, sized to one batch and reused across batches.
   std::vector<uint64_t> words_;       // raw block-RNG output
   std::vector<uint32_t> cand_trans_;  // candidate transition per attempt

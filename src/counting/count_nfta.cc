@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "automata/tree.h"
+#include "counting/flat_bitset.h"
 #include "counting/weighted_pick.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,6 +61,7 @@ class NftaCounter {
     if (Cancelled()) return DeadlineError(0);
     pool_target_ = config_.ResolvePoolSize(n_);
 
+    IndexPairs();
     ComputeForwardFeasibility();
     ComputeBackwardUsefulness();
     BuildLiveLists();
@@ -85,13 +85,13 @@ class NftaCounter {
       // The live lists replay the dense scan's visit order exactly (states
       // ascending, then transitions ascending with positions ascending), so
       // the processing — and with it every RNG draw — is unchanged.
-      for (StateId q : live_a_by_s_[s]) {
+      for (const LiveA& a : live_a_by_s_[s]) {
         ++stats_.strata_live;
-        ProcessTreeStratum(q, s);
+        ProcessTreeStratum(a.q, s, a.id);
       }
-      for (const auto& [tau, j] : live_f_by_s_[s]) {
+      for (const LiveF& f : live_f_by_s_[s]) {
         ++stats_.strata_live;
-        ProcessForestStratum(tau, j, s);
+        ProcessForestStratum(f.tau, f.j, s, f.id);
       }
       if (cancel_ != nullptr) cancel_->AddProgress(1);
     }
@@ -109,7 +109,7 @@ class NftaCounter {
   // trees (possibly none) when the language is empty.
   std::vector<LabeledTree> SampleAccepted(size_t count) {
     std::vector<LabeledTree> out;
-    const auto& pool = TreePool(pool_a_[nfta_.initial_state()], n_);
+    const auto& pool = TreePool(nfta_.initial_state(), n_);
     if (pool.empty()) return out;
     out.reserve(count);
     for (size_t i = 0; i < count; ++i) {
@@ -138,10 +138,30 @@ class NftaCounter {
     return static_cast<uint32_t>(e & 0xffffff);
   }
 
-  // fwd_a_[q][s]: A(q, s) non-empty; fwd_f_[τ][j][s]: F(τ, j, s) non-empty.
-  // Alongside the bitvectors, sparse sorted lists of feasible sizes are kept
-  // per stratum: gadget-expanded automata are size-determined (one or two
-  // live sizes per stratum), and the naive split loops would cost
+  // Every (τ, j) with j ∈ [0, arity(τ)] gets a dense pair index
+  // pair_base_[τ] + j, the row of its forest strata in the flat tables.
+  void IndexPairs() {
+    pair_base_.assign(nfta_.NumTransitions() + 1, 0);
+    for (uint32_t tau = 0; tau < nfta_.NumTransitions(); ++tau) {
+      pair_base_[tau + 1] = pair_base_[tau] +
+                            static_cast<uint32_t>(
+                                nfta_.transition(tau).children.size() + 1);
+    }
+  }
+  size_t Pair(uint32_t tau, size_t j) const { return pair_base_[tau] + j; }
+  size_t NumPairs() const { return pair_base_.back(); }
+
+  // Bit positions in the row-major (stratum × size) feasibility bitsets:
+  // one row of n_ + 1 sizes per state (A) or per (τ, j) pair (F).
+  size_t BitA(StateId q, size_t s) const { return q * (n_ + 1) + s; }
+  size_t BitF(uint32_t tau, size_t j, size_t s) const {
+    return Pair(tau, j) * (n_ + 1) + s;
+  }
+
+  // fwd_a_ bit (q, s): A(q, s) non-empty; fwd_f_ bit (τ, j, s): F(τ, j, s)
+  // non-empty. Alongside the bitsets, sparse sorted lists of feasible sizes
+  // are kept per stratum: gadget-expanded automata are size-determined (one
+  // or two live sizes per stratum), and the naive split loops would cost
   // O(n²·|Δ|).
   //
   // The closure is computed semi-naively: instead of re-scanning every
@@ -156,16 +176,13 @@ class NftaCounter {
   // the recorded size lists sorted exactly as before.
   void ComputeForwardFeasibility() {
     const size_t S = nfta_.NumStates();
-    fwd_a_.assign(S, std::vector<bool>(n_ + 1, false));
+    fwd_a_.Assign(S * (n_ + 1));
     fwd_a_sizes_.assign(S, {});
-    fwd_f_.resize(nfta_.NumTransitions());
-    fwd_f_sizes_.resize(nfta_.NumTransitions());
+    fwd_f_.Assign(NumPairs() * (n_ + 1));
+    fwd_f_sizes_.assign(NumPairs(), {});
     for (uint32_t tau = 0; tau < nfta_.NumTransitions(); ++tau) {
-      const size_t arity = nfta_.transition(tau).children.size();
-      fwd_f_[tau].assign(arity + 1, std::vector<bool>(n_ + 1, false));
-      fwd_f_sizes_[tau].assign(arity + 1, {});
-      fwd_f_[tau][0][0] = true;
-      fwd_f_sizes_[tau][0].push_back(0);
+      fwd_f_.Set(BitF(tau, 0, 0));
+      fwd_f_sizes_[Pair(tau, 0)].push_back(0);
     }
 
     // Reverse child index (CSR): state q -> occurrences (τ, j) with
@@ -203,13 +220,13 @@ class NftaCounter {
         const uint64_t e = buckets[s][i];
         if (e & kTreeEvent) {
           const StateId q = static_cast<StateId>(e & ~kTreeEvent);
-          if (fwd_a_[q][s]) continue;
-          fwd_a_[q][s] = true;
+          if (fwd_a_.Test(BitA(q, s))) continue;
+          fwd_a_.Set(BitA(q, s));
           fwd_a_sizes_[q].push_back(static_cast<uint32_t>(s));
           for (uint32_t r = rev_offsets[q]; r < rev_offsets[q + 1]; ++r) {
             const uint32_t tau = ForestEventTau(rev_pairs[r]);
             const uint32_t j = ForestEventJ(rev_pairs[r]);
-            for (uint32_t prev : fwd_f_sizes_[tau][j - 1]) {
+            for (uint32_t prev : fwd_f_sizes_[Pair(tau, j - 1)]) {
               if (prev + s > n_) break;
               buckets[prev + s].push_back(EncodeForest(tau, j));
             }
@@ -217,9 +234,9 @@ class NftaCounter {
         } else {
           const uint32_t tau = ForestEventTau(e);
           const uint32_t j = ForestEventJ(e);
-          if (fwd_f_[tau][j][s]) continue;
-          fwd_f_[tau][j][s] = true;
-          fwd_f_sizes_[tau][j].push_back(static_cast<uint32_t>(s));
+          if (fwd_f_.Test(BitF(tau, j, s))) continue;
+          fwd_f_.Set(BitF(tau, j, s));
+          fwd_f_sizes_[Pair(tau, j)].push_back(static_cast<uint32_t>(s));
           const Nfta::Transition& t = nfta_.transition(tau);
           if (j == t.children.size()) {
             if (s + 1 <= n_) buckets[s + 1].push_back(kTreeEvent | t.from);
@@ -240,19 +257,14 @@ class NftaCounter {
   // size n. Seeded at (initial, n) and propagated down through transitions
   // and feasible splits.
   void ComputeBackwardUsefulness() {
-    const size_t S = nfta_.NumStates();
-    bwd_a_.assign(S, std::vector<bool>(n_ + 1, false));
-    bwd_f_.resize(nfta_.NumTransitions());
-    for (uint32_t tau = 0; tau < nfta_.NumTransitions(); ++tau) {
-      const size_t arity = nfta_.transition(tau).children.size();
-      bwd_f_[tau].assign(arity + 1, std::vector<bool>(n_ + 1, false));
-    }
     if (config_.disable_backward_pruning) {
       // Ablation mode: everything forward-feasible counts as useful.
       bwd_a_ = fwd_a_;
       bwd_f_ = fwd_f_;
       return;
     }
+    bwd_a_.Assign(nfta_.NumStates() * (n_ + 1));
+    bwd_f_.Assign(NumPairs() * (n_ + 1));
     // Semi-naive marking, mirroring the forward pass: a seed at
     // (initial, n) cascades down, each marked stratum processed once.
     // A(q, s) marks the full forests F(τ, m, s−1); F(τ, j, s) marks its
@@ -268,26 +280,27 @@ class NftaCounter {
         const uint64_t e = buckets[s][i];
         if (e & kTreeEvent) {
           const StateId q = static_cast<StateId>(e & ~kTreeEvent);
-          if (bwd_a_[q][s]) continue;
-          bwd_a_[q][s] = true;
-          if (!fwd_a_[q][s]) continue;  // The seed may be infeasible.
+          if (bwd_a_.Test(BitA(q, s))) continue;
+          bwd_a_.Set(BitA(q, s));
+          // The seed may be infeasible.
+          if (!fwd_a_.Test(BitA(q, s))) continue;
           for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
             const size_t m = nfta_.transition(tau_idx).children.size();
-            if (fwd_f_[tau_idx][m][s - 1]) {
+            if (fwd_f_.Test(BitF(tau_idx, m, s - 1))) {
               buckets[s - 1].push_back(EncodeForest(tau_idx, m));
             }
           }
         } else {
           const uint32_t tau = ForestEventTau(e);
           const uint32_t j = ForestEventJ(e);
-          if (bwd_f_[tau][j][s]) continue;
-          bwd_f_[tau][j][s] = true;
+          if (bwd_f_.Test(BitF(tau, j, s))) continue;
+          bwd_f_.Set(BitF(tau, j, s));
           if (j == 0) continue;
           const Nfta::Transition& t = nfta_.transition(tau);
-          for (uint32_t prev : fwd_f_sizes_[tau][j - 1]) {
+          for (uint32_t prev : fwd_f_sizes_[Pair(tau, j - 1)]) {
             if (prev > s) break;
             const size_t split = s - prev;
-            if (split >= 1 && fwd_a_[t.children[j - 1]][split]) {
+            if (split >= 1 && fwd_a_.Test(BitA(t.children[j - 1], split))) {
               buckets[prev].push_back(EncodeForest(tau, j - 1));
               buckets[split].push_back(kTreeEvent | t.children[j - 1]);
             }
@@ -300,55 +313,89 @@ class NftaCounter {
     // Size-0 forest events (empty prefixes of useful forests) land in
     // bucket 0; they carry no further cascade, just the mark.
     for (const uint64_t e : buckets[0]) {
-      bwd_f_[ForestEventTau(e)][ForestEventJ(e)][0] = true;
+      bwd_f_.Set(BitF(ForestEventTau(e), ForestEventJ(e), 0));
     }
   }
 
-  bool LiveA(StateId q, size_t s) const {
-    return fwd_a_[q][s] && bwd_a_[q][s];
-  }
-  bool LiveF(uint32_t tau, size_t j, size_t s) const {
-    return fwd_f_[tau][j][s] && bwd_f_[tau][j][s];
-  }
-
-  // Per-size lists of live strata, distilled from the sparse forward size
-  // lists once both pruning passes are done. The main sweep then visits
-  // exactly the live strata instead of re-testing every (state, size) and
-  // (transition, position, size) combination per size — the dense scan is
-  // O(n·(|Q| + |Δ|·a)) of bit probes, which on gadget-expanded automata
-  // (tens of thousands of states, a handful of live sizes each) costs more
-  // than all the liveness hits it finds. Build order replays the dense
-  // scan's visit order, so processing order is unchanged.
+  // Dense stratum ids and per-size lists of live strata, distilled from the
+  // sparse forward size lists once both pruning passes are done.
+  //
+  // Every live stratum gets a dense id: A(q, s) the position of s in q's
+  // run of a_size_ (a_begin_[q] .. a_begin_[q + 1]), F(τ, j, s) the
+  // position of s in the pair's run of f_size_. Runs are sorted, and hold
+  // one or two sizes on gadget-expanded automata, so an id lookup (IdA /
+  // IdF) is a search of a tiny sorted run; every per-stratum table is a
+  // flat vector indexed by id.
+  //
+  // The main sweep then visits exactly the live strata instead of
+  // re-testing every (state, size) and (transition, position, size)
+  // combination per size — the dense scan is O(n·(|Q| + |Δ|·a)) of bit
+  // probes, which on gadget-expanded automata (tens of thousands of states,
+  // a handful of live sizes each) costs more than all the liveness hits it
+  // finds. Build order replays the dense scan's visit order, so processing
+  // order is unchanged.
   void BuildLiveLists() {
     live_a_by_s_.assign(n_ + 1, {});
     live_f_by_s_.assign(n_ + 1, {});
+    a_begin_.assign(nfta_.NumStates() + 1, 0);
+    a_size_.clear();
     for (StateId q = 0; q < nfta_.NumStates(); ++q) {
       for (uint32_t s : fwd_a_sizes_[q]) {
-        if (bwd_a_[q][s]) live_a_by_s_[s].push_back(q);
+        if (!bwd_a_.Test(BitA(q, s))) continue;
+        live_a_by_s_[s].push_back(
+            LiveA{q, static_cast<uint32_t>(a_size_.size())});
+        a_size_.push_back(s);
       }
+      a_begin_[q + 1] = static_cast<uint32_t>(a_size_.size());
     }
+    f_begin_.assign(NumPairs() + 1, 0);
+    f_size_.clear();
     for (uint32_t tau = 0; tau < nfta_.NumTransitions(); ++tau) {
       const size_t arity = nfta_.transition(tau).children.size();
+      // j = 0 (the empty forest) is never live; its run stays empty.
+      f_begin_[Pair(tau, 0) + 1] = static_cast<uint32_t>(f_size_.size());
       for (size_t j = 1; j <= arity; ++j) {
-        for (uint32_t s : fwd_f_sizes_[tau][j]) {
-          if (bwd_f_[tau][j][s]) {
-            live_f_by_s_[s].push_back({tau, static_cast<uint32_t>(j)});
-          }
+        for (uint32_t s : fwd_f_sizes_[Pair(tau, j)]) {
+          if (!bwd_f_.Test(BitF(tau, j, s))) continue;
+          live_f_by_s_[s].push_back(LiveF{
+              tau, static_cast<uint32_t>(j),
+              static_cast<uint32_t>(f_size_.size())});
+          f_size_.push_back(s);
         }
+        f_begin_[Pair(tau, j) + 1] = static_cast<uint32_t>(f_size_.size());
       }
     }
+  }
+
+  static constexpr uint32_t kNoStratum = 0xffffffffu;
+
+  // Dense id of size s in the sorted run sizes[begin, end), or kNoStratum.
+  static uint32_t FindId(const std::vector<uint32_t>& sizes, uint32_t begin,
+                         uint32_t end, size_t s) {
+    const uint32_t* first = sizes.data() + begin;
+    const uint32_t* last = sizes.data() + end;
+    const uint32_t* it = std::lower_bound(first, last, s);
+    if (it == last || *it != s) return kNoStratum;
+    return static_cast<uint32_t>(it - sizes.data());
+  }
+  uint32_t IdA(StateId q, size_t s) const {
+    return FindId(a_size_, a_begin_[q], a_begin_[q + 1], s);
+  }
+  uint32_t IdF(uint32_t tau, size_t j, size_t s) const {
+    const size_t p = Pair(tau, j);
+    return FindId(f_size_, f_begin_[p], f_begin_[p + 1], s);
   }
 
   // --- Tables -----------------------------------------------------------
 
-  // Tables are sparse: gadget-expanded automata are size-determined, so only
-  // a handful of sizes per stratum are live; dense (state x size) tables
-  // would dominate memory.
+  // Tables are indexed by dense stratum id: gadget-expanded automata are
+  // size-determined, so only a handful of sizes per stratum are live; dense
+  // (state x size) tables would dominate memory.
   void AllocateTables() {
-    est_a_.resize(nfta_.NumStates());
-    pool_a_.resize(nfta_.NumStates());
+    est_a_.assign(a_size_.size(), ExtFloat());
+    pool_a_.assign(a_size_.size(), {});
     if (fast_) {
-      fast_memo_.resize(nfta_.NumStates());
+      fast_memo_.assign(a_size_.size(), {});
       child0_index_.resize(nfta_.AlphabetSize());
       // One scratch row per possible recursion depth (a child stratum is
       // strictly smaller, so depth < n); sized up front because the
@@ -357,60 +404,53 @@ class NftaCounter {
       fast_kids_scratch_.resize(n_ + 1);
       fast_sets_scratch_.resize(n_ + 1);
     } else if (cached_) {
-      root_memo_.resize(nfta_.NumStates());
+      root_memo_.assign(a_size_.size(), {});
     }
-    est_f_.resize(nfta_.NumTransitions());
-    pool_f_.resize(nfta_.NumTransitions());
-    for (uint32_t tau = 0; tau < nfta_.NumTransitions(); ++tau) {
-      const size_t arity = nfta_.transition(tau).children.size();
-      est_f_[tau].resize(arity + 1);
-      pool_f_[tau].resize(arity + 1);
-      est_f_[tau][0].emplace(0, ExtFloat::FromUint64(1));
-    }
+    est_f_.assign(f_size_.size(), ExtFloat());
+    pool_f_.assign(f_size_.size(), {});
   }
 
   ExtFloat EstA(StateId q, size_t s) const {
-    auto it = est_a_[q].find(static_cast<uint32_t>(s));
-    return it == est_a_[q].end() ? ExtFloat() : it->second;
+    const uint32_t id = IdA(q, s);
+    return id == kNoStratum ? ExtFloat() : est_a_[id];
   }
+  // F(τ, 0, s) is the empty forest: one element at size 0, none otherwise.
   ExtFloat EstF(uint32_t tau, size_t j, size_t s) const {
-    auto it = est_f_[tau][j].find(static_cast<uint32_t>(s));
-    return it == est_f_[tau][j].end() ? ExtFloat() : it->second;
+    if (j == 0) return s == 0 ? ExtFloat::FromUint64(1) : ExtFloat();
+    const uint32_t id = IdF(tau, j, s);
+    return id == kNoStratum ? ExtFloat() : est_f_[id];
   }
-  static const std::vector<TreeSample>& TreePool(
-      const std::unordered_map<uint32_t, std::vector<TreeSample>>& m,
-      size_t s) {
+  const std::vector<TreeSample>& TreePool(StateId q, size_t s) const {
     static const std::vector<TreeSample> kEmptyTrees;
-    auto it = m.find(static_cast<uint32_t>(s));
-    return it == m.end() ? kEmptyTrees : it->second;
+    const uint32_t id = IdA(q, s);
+    return id == kNoStratum ? kEmptyTrees : pool_a_[id];
   }
-  static const std::vector<ForestSample>& ForestPool(
-      const std::unordered_map<uint32_t, std::vector<ForestSample>>& m,
-      size_t s) {
+  const std::vector<ForestSample>& ForestPool(uint32_t tau, size_t j,
+                                              size_t s) const {
     static const std::vector<ForestSample> kEmptyForests;
-    auto it = m.find(static_cast<uint32_t>(s));
-    return it == m.end() ? kEmptyForests : it->second;
+    const uint32_t id = IdF(tau, j, s);
+    return id == kNoStratum ? kEmptyForests : pool_f_[id];
   }
 
   // --- Materialization ---------------------------------------------------
 
-  // Appends the forest sample pool_f_[tau][j][s][idx] as children of
+  // Appends the forest sample ForestPool(tau, j, s)[idx] as children of
   // `parent` in `out` (left to right).
   void MaterializeForest(uint32_t tau, size_t j, size_t s, uint32_t idx,
                          LabeledTree* out, uint32_t parent) const {
     if (j == 0) return;  // empty forest
-    const ForestSample& ref = ForestPool(pool_f_[tau][j], s)[idx];
+    const ForestSample& ref = ForestPool(tau, j, s)[idx];
     MaterializeForest(tau, j - 1, s - ref.split, ref.prefix, out, parent);
     const Nfta::Transition& t = nfta_.transition(tau);
     MaterializeTreeInto(t.children[j - 1], ref.split, ref.tree, out, parent);
   }
 
-  // Appends the tree sample pool_a_[q][s][idx] as a child of `parent`
+  // Appends the tree sample TreePool(q, s)[idx] as a child of `parent`
   // (or as the root when parent == kNoParent).
   static constexpr uint32_t kNoParent = 0xffffffffu;
   void MaterializeTreeInto(StateId q, size_t s, uint32_t idx,
                            LabeledTree* out, uint32_t parent) const {
-    const TreeSample& ref = TreePool(pool_a_[q], s)[idx];
+    const TreeSample& ref = TreePool(q, s)[idx];
     const Nfta::Transition& t = nfta_.transition(ref.transition);
     uint32_t node;
     if (parent == kNoParent) {
@@ -423,7 +463,7 @@ class NftaCounter {
   }
 
   LabeledTree MaterializeTree(StateId q, size_t s, uint32_t idx) const {
-    const TreeSample& ref = TreePool(pool_a_[q], s)[idx];
+    const TreeSample& ref = TreePool(q, s)[idx];
     const Nfta::Transition& t = nfta_.transition(ref.transition);
     LabeledTree out(t.symbol);
     MaterializeForest(ref.transition, t.children.size(), s - 1, ref.forest,
@@ -433,13 +473,25 @@ class NftaCounter {
 
   // --- Strata processing --------------------------------------------------
 
-  // A same-symbol group of candidate transitions (see ProcessTreeStratum).
+  // A contributing transition of a tree stratum A(q, s): its weight is the
+  // estimate of its full child forest F(τ, m, s−1), whose dense id
+  // `forest` is hoisted here (kNoStratum for a leaf transition).
+  struct Member {
+    SymbolId symbol;
+    uint32_t tau;
+    uint32_t forest;
+    ExtFloat weight;
+  };
+  // A same-symbol group of candidate transitions (see ProcessTreeStratum):
+  // the run members_[begin, end), and its canonical hits accepted_[acc_begin,
+  // acc_end) (only for multi-τ groups).
   struct Group {
-    std::vector<uint32_t> taus;
-    std::vector<ExtFloat> weights;
+    uint32_t begin = 0;
+    uint32_t end = 0;
     ExtFloat weight_sum;
     ExtFloat estimate;
-    std::vector<TreeSample> accepted;  // only for multi-τ groups
+    uint32_t acc_begin = 0;
+    uint32_t acc_end = 0;
   };
 
   // The drawer mode every weighted pick in this counter routes through —
@@ -460,6 +512,13 @@ class NftaCounter {
   // Sentinel in a hoisted forest-pool size list: the transition is a leaf,
   // so no forest index is drawn (as opposed to 0, an empty pool).
   static constexpr size_t kLeafPool = static_cast<size_t>(-1);
+
+  // Forest-pool size a candidate for member `mb` draws its index from, or
+  // kLeafPool for a leaf transition.
+  size_t ForestPoolSize(const Member& mb) const {
+    if (mb.forest == kNoStratum) return kLeafPool;
+    return pool_f_[mb.forest].size();
+  }
 
   // Fast-kernel batch for the tree-stratum rejection loop: fills the SoA
   // candidate arenas with `batch` draws — one alias pick over the group's
@@ -488,9 +547,43 @@ class NftaCounter {
         forest = static_cast<uint32_t>(
             Rng::BoundedFromWord(words_[2 * i + 1], fpool_size));
       }
-      cand_tau_[i] = g.taus[pick];
+      cand_tau_[i] = members_[g.begin + pick].tau;
       cand_forest_[i] = forest;
       cand_valid_[i] = 1;
+    }
+  }
+
+  // Groups the contributing out-transitions of stratum (q, s) by symbol
+  // into members_/groups_: a stable sort by symbol makes each group one
+  // contiguous run. Groups come in ascending symbol order, and each keeps
+  // OutTransitions order; the draw sequence (and with it every golden
+  // estimate) is defined in that order.
+  void BuildGroups(StateId q, size_t s) {
+    members_.clear();
+    groups_.clear();
+    for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
+      const Nfta::Transition& t = nfta_.transition(tau_idx);
+      const size_t m = t.children.size();
+      const uint32_t forest = m == 0 ? kNoStratum : IdF(tau_idx, m, s - 1);
+      const ExtFloat w = m == 0 ? EstF(tau_idx, 0, s - 1)
+                        : forest == kNoStratum ? ExtFloat()
+                                               : est_f_[forest];
+      if (w.IsZero()) continue;
+      members_.push_back(Member{t.symbol, tau_idx, forest, w});
+    }
+    std::stable_sort(members_.begin(), members_.end(),
+                     [](const Member& a, const Member& b) {
+                       return a.symbol < b.symbol;
+                     });
+    for (uint32_t k = 0; k < members_.size(); ++k) {
+      if (k == 0 || members_[k].symbol != members_[k - 1].symbol) {
+        Group g;
+        g.begin = g.end = k;
+        groups_.push_back(g);
+      }
+      Group& g = groups_.back();
+      ++g.end;
+      g.weight_sum = g.weight_sum.Add(members_[k].weight);
     }
   }
 
@@ -499,28 +592,18 @@ class NftaCounter {
   // tree sets, so the union decomposes into an exact sum over symbol groups;
   // the Karp–Luby canonical-witness estimator is only needed *within* a
   // group of same-symbol transitions (rare outside witness-choice states).
-  void ProcessTreeStratum(StateId q, size_t s) {
-    std::map<SymbolId, Group> groups;
-    for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
-      const Nfta::Transition& t = nfta_.transition(tau_idx);
-      const ExtFloat w = EstF(tau_idx, t.children.size(), s - 1);
-      if (w.IsZero()) continue;
-      Group& g = groups[t.symbol];
-      g.taus.push_back(tau_idx);
-      g.weights.push_back(w);
-      g.weight_sum = g.weight_sum.Add(w);
-    }
-    if (groups.empty()) return;
+  void ProcessTreeStratum(StateId q, size_t s, uint32_t id) {
+    BuildGroups(q, s);
+    if (groups_.empty()) return;
+    accepted_.clear();
 
-    // Draws a candidate sample for transition tau (random forest ref);
+    // Draws a candidate sample for member `mb` (random forest ref);
     // returns false if the forest pool is empty.
-    auto DrawCandidate = [&](uint32_t tau_idx, TreeSample* out) {
-      const Nfta::Transition& t = nfta_.transition(tau_idx);
-      out->transition = tau_idx;
+    auto DrawCandidate = [&](const Member& mb, TreeSample* out) {
+      out->transition = mb.tau;
       out->forest = 0;
-      if (!t.children.empty()) {
-        const auto& fpool =
-            ForestPool(pool_f_[tau_idx][t.children.size()], s - 1);
+      if (mb.forest != kNoStratum) {
+        const auto& fpool = pool_f_[mb.forest];
         if (fpool.empty()) return false;
         out->forest = static_cast<uint32_t>(rng_.NextBounded(fpool.size()));
       }
@@ -530,9 +613,8 @@ class NftaCounter {
     // Per-group estimates: exact for singleton groups, Karp–Luby within
     // overlapping (same-symbol) groups.
     ExtFloat total_estimate;
-    for (auto& [symbol, g] : groups) {
-      (void)symbol;
-      if (g.taus.size() == 1) {
+    for (Group& g : groups_) {
+      if (g.end - g.begin == 1) {
         g.estimate = g.weight_sum;
         total_estimate = total_estimate.Add(g.estimate);
         continue;
@@ -541,24 +623,25 @@ class NftaCounter {
       // (the legacy ablation path redoes the scan-and-scale work per draw;
       // legacy and cached both consume one NextDouble per pick, so their
       // draws are bit-identical; the alias mode is the fast tier).
-      drawer_.Prepare(DrawMode(), g.weights, &stats_);
+      draw_weights_.clear();
+      for (uint32_t k = g.begin; k < g.end; ++k) {
+        draw_weights_.push_back(members_[k].weight);
+      }
+      drawer_.Prepare(DrawMode(), draw_weights_, &stats_);
       const size_t target = pool_target_;
       const size_t max_attempts = config_.attempt_factor * target + 64;
+      const size_t acc_begin = accepted_.size();
+      auto hits = [&] { return accepted_.size() - acc_begin; };
       size_t attempts = 0;
       if (fast_) {
         // Batched SoA kernel (see the NFA twin): the whole batch counts as
         // attempts even when the target is crossed mid-batch — extra
         // canonical hits just enrich the resample pool.
-        fast_fpool_sizes_.resize(g.taus.size());
-        for (size_t k = 0; k < g.taus.size(); ++k) {
-          const Nfta::Transition& t = nfta_.transition(g.taus[k]);
-          fast_fpool_sizes_[k] =
-              t.children.empty()
-                  ? kLeafPool
-                  : ForestPool(pool_f_[g.taus[k]][t.children.size()], s - 1)
-                        .size();
+        fast_fpool_sizes_.resize(g.end - g.begin);
+        for (uint32_t k = g.begin; k < g.end; ++k) {
+          fast_fpool_sizes_[k - g.begin] = ForestPoolSize(members_[k]);
         }
-        while (g.accepted.size() < target && attempts < max_attempts) {
+        while (hits() < target && attempts < max_attempts) {
           if (Cancelled()) break;
           const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
           DrawTreeBatch(g, fast_fpool_sizes_, batch);
@@ -567,79 +650,73 @@ class NftaCounter {
             const TreeSample candidate{cand_tau_[i], cand_forest_[i]};
             if (CanonicalTransition(q, s, candidate) ==
                 candidate.transition) {
-              g.accepted.push_back(candidate);
+              accepted_.push_back(candidate);
             }
           }
           attempts += batch;
         }
       } else {
-        while (g.accepted.size() < target && attempts < max_attempts) {
+        while (hits() < target && attempts < max_attempts) {
           ++attempts;
           if ((attempts & 255u) == 0 && Cancelled()) break;
           const size_t pick = drawer_.Draw(&rng_);
           TreeSample candidate;
-          if (!DrawCandidate(g.taus[pick], &candidate)) continue;
+          if (!DrawCandidate(members_[g.begin + pick], &candidate)) continue;
           if (CanonicalTransition(q, s, candidate) == candidate.transition) {
-            g.accepted.push_back(candidate);
+            accepted_.push_back(candidate);
           }
         }
       }
       stats_.attempts += attempts;
-      stats_.accepted += g.accepted.size();
-      if (g.accepted.empty()) {
+      stats_.accepted += hits();
+      if (hits() == 0) {
         // Statistically negligible when attempts >> group size (acceptance
         // is >= 1/|group|); force one biased sample so a live stratum never
         // reports a false zero.
         ++stats_.forced_samples;
         const size_t pick = drawer_.Draw(&rng_);
         TreeSample forced;
-        if (DrawCandidate(g.taus[pick], &forced)) {
-          g.accepted.push_back(forced);
+        if (DrawCandidate(members_[g.begin + pick], &forced)) {
+          accepted_.push_back(forced);
           g.estimate = g.weight_sum.Scale(
               1.0 / static_cast<double>(attempts + 1));
         }
       } else {
-        g.estimate = g.weight_sum.Scale(static_cast<double>(g.accepted.size()) /
+        g.estimate = g.weight_sum.Scale(static_cast<double>(hits()) /
                                         static_cast<double>(attempts));
       }
+      g.acc_begin = static_cast<uint32_t>(acc_begin);
+      g.acc_end = static_cast<uint32_t>(accepted_.size());
       total_estimate = total_estimate.Add(g.estimate);
     }
-    est_a_[q].emplace(static_cast<uint32_t>(s), total_estimate);
+    est_a_[id] = total_estimate;
     if (total_estimate.IsZero()) return;
 
     // Pool: a mixture over groups proportional to their estimates. Samples
     // from singleton groups are drawn fresh; overlapping groups resample
     // their accepted (canonical) candidates.
-    std::vector<const Group*> group_list;
-    std::vector<ExtFloat> group_weights;
-    for (const auto& [symbol, g] : groups) {
-      (void)symbol;
+    group_list_.clear();
+    group_weights_.clear();
+    for (const Group& g : groups_) {
       if (g.estimate.IsZero()) continue;
-      group_list.push_back(&g);
-      group_weights.push_back(g.estimate);
+      group_list_.push_back(&g);
+      group_weights_.push_back(g.estimate);
     }
-    if (group_list.size() > 1) {
-      drawer_.Prepare(DrawMode(), group_weights, &stats_);
+    if (group_list_.size() > 1) {
+      drawer_.Prepare(DrawMode(), group_weights_, &stats_);
     }
-    auto& pool = pool_a_[q][static_cast<uint32_t>(s)];
+    auto& pool = pool_a_[id];
     pool.reserve(pool_target_);
     if (fast_) {
       // Hoisted per-group draw bound: fresh-draw forest-pool size for
       // singleton groups (kLeafPool when no forest is drawn), accepted-pool
       // size otherwise — one lookup per group instead of one per entry.
-      fast_fpool_sizes_.resize(group_list.size());
-      for (size_t k = 0; k < group_list.size(); ++k) {
-        const Group& g = *group_list[k];
-        if (g.taus.size() == 1) {
-          const Nfta::Transition& t = nfta_.transition(g.taus[0]);
-          fast_fpool_sizes_[k] =
-              t.children.empty()
-                  ? kLeafPool
-                  : ForestPool(pool_f_[g.taus[0]][t.children.size()], s - 1)
-                        .size();
-        } else {
-          fast_fpool_sizes_[k] = g.accepted.size();
-        }
+      fast_fpool_sizes_.resize(group_list_.size());
+      for (size_t k = 0; k < group_list_.size(); ++k) {
+        const Group& g = *group_list_[k];
+        fast_fpool_sizes_[k] = g.end - g.begin == 1
+                                   ? ForestPoolSize(members_[g.begin])
+                                   : g.acc_end - g.acc_begin;
       }
       // Batched mixture: one word for the group pick, one for the index
       // within the group (fresh forest ref for singleton groups,
@@ -652,49 +729,51 @@ class NftaCounter {
         BatchSizeHist().Observe(batch);
         for (size_t i = 0; i < batch; ++i) {
           const size_t gpick =
-              group_list.size() == 1
+              group_list_.size() == 1
                   ? 0
                   : drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
-          const Group& g = *group_list[gpick];
+          const Group& g = *group_list_[gpick];
           const size_t bound = fast_fpool_sizes_[gpick];
           const uint64_t word = words_[2 * i + 1];
-          if (g.taus.size() == 1) {
+          if (g.end - g.begin == 1) {
             uint32_t forest = 0;
             if (bound != kLeafPool) {
               if (bound == 0) continue;
               forest = static_cast<uint32_t>(Rng::BoundedFromWord(word, bound));
             }
-            pool.push_back(TreeSample{g.taus[0], forest});
+            pool.push_back(TreeSample{members_[g.begin].tau, forest});
           } else if (bound != 0) {
-            pool.push_back(g.accepted[Rng::BoundedFromWord(word, bound)]);
+            pool.push_back(
+                accepted_[g.acc_begin + Rng::BoundedFromWord(word, bound)]);
           }
         }
         done += batch;
       }
     } else {
       for (size_t i = 0; i < pool_target_; ++i) {
-        const Group& g = group_list.size() == 1
-                             ? *group_list[0]
-                             : *group_list[drawer_.Draw(&rng_)];
-        if (g.taus.size() == 1) {
+        const Group& g = group_list_.size() == 1
+                             ? *group_list_[0]
+                             : *group_list_[drawer_.Draw(&rng_)];
+        if (g.end - g.begin == 1) {
           TreeSample sample;
-          if (DrawCandidate(g.taus[0], &sample)) pool.push_back(sample);
-        } else if (!g.accepted.empty()) {
-          pool.push_back(g.accepted[rng_.NextBounded(g.accepted.size())]);
+          if (DrawCandidate(members_[g.begin], &sample)) pool.push_back(sample);
+        } else if (g.acc_end != g.acc_begin) {
+          pool.push_back(accepted_[
+              g.acc_begin + rng_.NextBounded(g.acc_end - g.acc_begin)]);
         }
       }
     }
     stats_.pool_entries += pool.size();
   }
 
-  // A pooled subtree reference: the tree sample pool_a_[state][split][tree].
+  // A pooled subtree reference: the tree sample TreePool(state, split)[tree].
   struct ChildRef {
     StateId state;
     uint32_t split;
     uint32_t tree;
   };
 
-  // Resolves the forest sample pool_f_[tau][j][s][idx] into its j child
+  // Resolves the forest sample ForestPool(tau, j, s)[idx] into its j child
   // subtree references, left to right, without materializing anything.
   void ResolveForest(uint32_t tau, size_t j, size_t s, uint32_t idx,
                      std::vector<ChildRef>* out) const {
@@ -703,7 +782,7 @@ class NftaCounter {
     uint32_t cur_idx = idx;
     size_t cur_s = s;
     while (j > 0) {
-      const ForestSample& ref = ForestPool(pool_f_[tau][j], cur_s)[cur_idx];
+      const ForestSample& ref = ForestPool(tau, j, cur_s)[cur_idx];
       (*out)[j - 1] = ChildRef{t.children[j - 1], ref.split, ref.tree};
       cur_s -= ref.split;
       cur_idx = ref.prefix;
@@ -712,7 +791,7 @@ class NftaCounter {
   }
 
   // Memoized run-state oracle: the sorted set of states from which the
-  // pooled tree pool_a_[q][s][idx] can be generated, computed recursively
+  // pooled tree TreePool(q, s)[idx] can be generated, computed recursively
   // from the derivation references (shared subtrees are simulated once; the
   // legacy path re-runs Nfta::RunStates over the whole materialized tree per
   // check). Pools referenced by a sample live in strictly smaller, already
@@ -721,8 +800,9 @@ class NftaCounter {
   // doubles as the "uncomputed" sentinel. The per-node candidate enumeration
   // mirrors Nfta::RunStates exactly (same dense index, same order).
   const std::vector<StateId>& RootStates(StateId q, size_t s, uint32_t idx) {
-    auto& level = root_memo_[q][static_cast<uint32_t>(s)];
-    const auto& pool = TreePool(pool_a_[q], s);
+    const uint32_t id = IdA(q, s);
+    auto& level = root_memo_[id];
+    const auto& pool = pool_a_[id];
     if (level.size() < pool.size()) level.resize(pool.size());
     if (!level[idx].empty()) {
       ++stats_.runstates_memo_hits;
@@ -744,9 +824,9 @@ class NftaCounter {
       ResolveForest(ref.transition, m, s - 1, ref.forest, &kids);
       std::vector<const std::vector<StateId>*> sets(m);
       for (size_t i = 0; i < m; ++i) {
-        // unordered_map references are stable under insertion, and the
-        // level vector of a (q, s) stratum is only resized on entry for
-        // that stratum — strictly-smaller recursive strata never alias it.
+        // root_memo_ is sized once, and the level vector of stratum `id`
+        // is only resized on entry for that stratum — strictly-smaller
+        // recursive strata never alias it — so the references stay valid.
         sets[i] = &RootStates(kids[i].state, kids[i].split, kids[i].tree);
       }
       for (StateId first_child_state : *sets[0]) {
@@ -822,8 +902,9 @@ class NftaCounter {
   // derivation refs, same resulting sorted set. `depth` indexes reusable
   // scratch rows so the recursion allocates nothing in steady state.
   SetRef FastRootStates(StateId q, size_t s, uint32_t idx, size_t depth) {
-    auto& level = fast_memo_[q][static_cast<uint32_t>(s)];
-    const auto& pool = TreePool(pool_a_[q], s);
+    const uint32_t id = IdA(q, s);
+    auto& level = fast_memo_[id];
+    const auto& pool = pool_a_[id];
     if (level.off.size() < pool.size()) {
       level.off.resize(pool.size(), kUnsetOff);
       level.len.resize(pool.size(), 0);
@@ -876,9 +957,9 @@ class NftaCounter {
     out.erase(std::unique(out.begin(), out.end()), out.end());
     const uint32_t off = static_cast<uint32_t>(memo_arena_.size());
     memo_arena_.insert(memo_arena_.end(), out.begin(), out.end());
-    // `level` references the unordered_map's mapped node: stable under the
-    // insertions the recursion performed (and same-(q, s) re-entry cannot
-    // have resized the slot vectors — child strata are strictly smaller).
+    // `level` references fast_memo_[id], which is sized once (and same-id
+    // re-entry cannot have resized the slot vectors — child strata are
+    // strictly smaller).
     level.off[idx] = off;
     level.len[idx] = static_cast<uint32_t>(out.size());
     return {off, level.len[idx]};
@@ -982,43 +1063,52 @@ class NftaCounter {
   }
 
   // F(τ, j, s) = ⊎_split F(τ, j−1, s−split) × A(child_j, split): exact
-  // disjoint sum of products; samples compose without rejection.
-  void ProcessForestStratum(uint32_t tau, size_t j, size_t s) {
+  // disjoint sum of products; samples compose without rejection. Only the
+  // child's live sizes can carry a non-zero A(child_j, split), so the split
+  // loop walks that sorted run; the draws depend on splits ascending.
+  void ProcessForestStratum(uint32_t tau, size_t j, size_t s, uint32_t id) {
     const Nfta::Transition& t = nfta_.transition(tau);
     const StateId child = t.children[j - 1];
-    std::vector<uint32_t> splits;
-    std::vector<ExtFloat> weights;
+    splits_.clear();
+    split_weights_.clear();
+    split_prefix_ids_.clear();
+    split_tree_ids_.clear();
     ExtFloat total;
-    for (size_t split = 1; split <= s; ++split) {
+    for (uint32_t a = a_begin_[child]; a < a_begin_[child + 1]; ++a) {
+      const uint32_t split = a_size_[a];
+      if (split > s) break;
       const ExtFloat prev = EstF(tau, j - 1, s - split);
-      const ExtFloat sub = EstA(child, split);
+      const ExtFloat& sub = est_a_[a];
       if (prev.IsZero() || sub.IsZero()) continue;
       ExtFloat w = prev.Mul(sub);
-      splits.push_back(static_cast<uint32_t>(split));
-      weights.push_back(w);
+      splits_.push_back(split);
+      split_weights_.push_back(w);
+      split_prefix_ids_.push_back(j - 1 > 0 ? IdF(tau, j - 1, s - split)
+                                            : kNoStratum);
+      split_tree_ids_.push_back(a);
       total = total.Add(w);
     }
-    est_f_[tau][j].emplace(static_cast<uint32_t>(s), total);
-    if (splits.empty()) return;
+    est_f_[id] = total;
+    if (splits_.empty()) return;
 
-    if (splits.size() > 1) {
-      drawer_.Prepare(DrawMode(), weights, &stats_);
+    if (splits_.size() > 1) {
+      drawer_.Prepare(DrawMode(), split_weights_, &stats_);
     }
-    auto& pool = pool_f_[tau][j][static_cast<uint32_t>(s)];
+    auto& pool = pool_f_[id];
     pool.reserve(pool_target_);
+    // The pools a draw composes from are per-split invariants of the
+    // stratum (they belong to strictly smaller strata, complete by now),
+    // and only their sizes are read — hoisted once per split instead of
+    // looked up per trial.
+    prev_sizes_.resize(splits_.size());
+    tree_sizes_.resize(splits_.size());
+    for (size_t k = 0; k < splits_.size(); ++k) {
+      prev_sizes_[k] = split_prefix_ids_[k] == kNoStratum
+                           ? 0
+                           : pool_f_[split_prefix_ids_[k]].size();
+      tree_sizes_[k] = pool_a_[split_tree_ids_[k]].size();
+    }
     if (fast_) {
-      // The pools a draw composes from are per-split invariants of the
-      // stratum (they belong to strictly smaller strata, complete by now),
-      // and only their sizes are read — hoist them out of the batch loop
-      // instead of re-doing two hash lookups per trial.
-      fast_prev_sizes_.resize(splits.size());
-      fast_tree_sizes_.resize(splits.size());
-      for (size_t k = 0; k < splits.size(); ++k) {
-        fast_prev_sizes_[k] =
-            j - 1 > 0 ? ForestPool(pool_f_[tau][j - 1], s - splits[k]).size()
-                      : 0;
-        fast_tree_sizes_[k] = TreePool(pool_a_[child], splits[k]).size();
-      }
       // Batched composition: one word for the split pick, one for the
       // prefix-forest index, one for the child-tree index.
       for (size_t done = 0; done < pool_target_;) {
@@ -1029,39 +1119,35 @@ class NftaCounter {
         BatchSizeHist().Observe(batch);
         for (size_t i = 0; i < batch; ++i) {
           const size_t pick =
-              splits.size() == 1
+              splits_.size() == 1
                   ? 0
                   : drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[3 * i]));
           uint32_t prefix_idx = 0;
           if (j - 1 > 0) {
-            if (fast_prev_sizes_[pick] == 0) continue;
+            if (prev_sizes_[pick] == 0) continue;
             prefix_idx = static_cast<uint32_t>(Rng::BoundedFromWord(
-                words_[3 * i + 1], fast_prev_sizes_[pick]));
+                words_[3 * i + 1], prev_sizes_[pick]));
           }
-          if (fast_tree_sizes_[pick] == 0) continue;
+          if (tree_sizes_[pick] == 0) continue;
           const uint32_t tree_idx = static_cast<uint32_t>(
-              Rng::BoundedFromWord(words_[3 * i + 2], fast_tree_sizes_[pick]));
-          pool.push_back(ForestSample{prefix_idx, tree_idx, splits[pick]});
+              Rng::BoundedFromWord(words_[3 * i + 2], tree_sizes_[pick]));
+          pool.push_back(ForestSample{prefix_idx, tree_idx, splits_[pick]});
         }
         done += batch;
       }
     } else {
       for (size_t i = 0; i < pool_target_; ++i) {
-        const uint32_t split = splits.size() == 1
-                                   ? splits[0]
-                                   : splits[drawer_.Draw(&rng_)];
+        const size_t pick = splits_.size() == 1 ? 0 : drawer_.Draw(&rng_);
         uint32_t prefix_idx = 0;
         if (j - 1 > 0) {
-          const auto& prev_pool = ForestPool(pool_f_[tau][j - 1], s - split);
-          if (prev_pool.empty()) continue;
+          if (prev_sizes_[pick] == 0) continue;
           prefix_idx =
-              static_cast<uint32_t>(rng_.NextBounded(prev_pool.size()));
+              static_cast<uint32_t>(rng_.NextBounded(prev_sizes_[pick]));
         }
-        const auto& tree_pool = TreePool(pool_a_[child], split);
-        if (tree_pool.empty()) continue;
+        if (tree_sizes_[pick] == 0) continue;
         const uint32_t tree_idx =
-            static_cast<uint32_t>(rng_.NextBounded(tree_pool.size()));
-        pool.push_back(ForestSample{prefix_idx, tree_idx, split});
+            static_cast<uint32_t>(rng_.NextBounded(tree_sizes_[pick]));
+        pool.push_back(ForestSample{prefix_idx, tree_idx, splits_[pick]});
       }
     }
     stats_.pool_entries += pool.size();
@@ -1091,15 +1177,29 @@ class NftaCounter {
   IndexDrawer drawer_;
   std::vector<ChildRef> child_scratch_;
   std::vector<const std::vector<StateId>*> set_scratch_;
+  std::vector<Member> members_;  // symbol groups of the current tree stratum
+  std::vector<Group> groups_;
+  std::vector<TreeSample> accepted_;  // every group's canonical hits
+  std::vector<ExtFloat> draw_weights_;
+  std::vector<const Group*> group_list_;
+  std::vector<ExtFloat> group_weights_;
+  // The current forest stratum's feasible splits, their weights and the
+  // dense ids of the prefix-forest / child-tree strata each split draws
+  // from, plus those strata's pool sizes.
+  std::vector<uint32_t> splits_;
+  std::vector<ExtFloat> split_weights_;
+  std::vector<uint32_t> split_prefix_ids_;
+  std::vector<uint32_t> split_tree_ids_;
+  std::vector<size_t> prev_sizes_;
+  std::vector<size_t> tree_sizes_;
   // Fast-kernel SoA arenas, sized to one batch and reused across batches.
   std::vector<uint64_t> words_;        // raw block-RNG output
   std::vector<uint32_t> cand_tau_;     // candidate transition per attempt
   std::vector<uint32_t> cand_forest_;  // candidate forest index per attempt
   std::vector<uint8_t> cand_valid_;    // 0 = the forest pool was empty
   obs::Histogram* batch_hist_ = nullptr;  // lazy counting.batch_size_hist
-  // root_memo_[q]{s}[pool idx] -> sorted run-state set of the pooled tree.
-  std::vector<std::unordered_map<uint32_t, std::vector<std::vector<StateId>>>>
-      root_memo_;
+  // root_memo_[A id][pool idx] -> sorted run-state set of the pooled tree.
+  std::vector<std::vector<std::vector<StateId>>> root_memo_;
   // Fast-tier membership kernel state (see FastRootStates): the SoA memo —
   // per-slot (offset, length) views into one shared arena — plus the lazy
   // per-symbol candidate indexes and the per-depth recursion scratch rows.
@@ -1107,36 +1207,50 @@ class NftaCounter {
     std::vector<uint32_t> off;  // kUnsetOff = uncomputed
     std::vector<uint32_t> len;
   };
-  std::vector<std::unordered_map<uint32_t, FastMemoLevel>> fast_memo_;
+  std::vector<FastMemoLevel> fast_memo_;  // [A id]
   std::vector<StateId> memo_arena_;
   std::vector<std::unique_ptr<Child0Index>> child0_index_;  // [symbol]
   std::vector<std::vector<StateId>> fast_out_scratch_;      // [depth]
   std::vector<std::vector<ChildRef>> fast_kids_scratch_;    // [depth]
   std::vector<std::vector<SetRef>> fast_sets_scratch_;      // [depth]
   std::vector<SetRef> fast_top_sets_;
-  // Hoisted per-stratum pool sizes for the batched trial loops (see
+  // Hoisted per-group forest-pool sizes for the batched trial loops (see
   // kLeafPool); scratch reused across strata.
   std::vector<size_t> fast_fpool_sizes_;
-  std::vector<size_t> fast_prev_sizes_;
-  std::vector<size_t> fast_tree_sizes_;
 
-  std::vector<std::vector<bool>> fwd_a_;                // [q][s]
-  std::vector<std::vector<uint32_t>> fwd_a_sizes_;      // sparse live sizes
-  std::vector<std::vector<std::vector<bool>>> fwd_f_;   // [τ][j][s]
-  std::vector<std::vector<std::vector<uint32_t>>> fwd_f_sizes_;
-  std::vector<std::vector<bool>> bwd_a_;
-  std::vector<std::vector<std::vector<bool>>> bwd_f_;
+  // Feasibility: row-major (stratum × size) bitsets (BitA / BitF) and the
+  // sparse sorted feasible sizes per state / per (τ, j) pair.
+  std::vector<uint32_t> pair_base_;  // [τ] -> pair index of (τ, 0)
+  FlatBitset fwd_a_;
+  FlatBitset fwd_f_;
+  FlatBitset bwd_a_;
+  FlatBitset bwd_f_;
+  std::vector<std::vector<uint32_t>> fwd_a_sizes_;  // [q]
+  std::vector<std::vector<uint32_t>> fwd_f_sizes_;  // [pair]
   // Live strata per size, in the dense scan's visit order (BuildLiveLists).
-  std::vector<std::vector<StateId>> live_a_by_s_;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> live_f_by_s_;
-  // Sparse per-stratum tables, keyed by size.
-  std::vector<std::unordered_map<uint32_t, ExtFloat>> est_a_;  // [q]{s}
-  std::vector<std::unordered_map<uint32_t, std::vector<TreeSample>>> pool_a_;
-  std::vector<std::vector<std::unordered_map<uint32_t, ExtFloat>>>
-      est_f_;  // [τ][j]{s}
-  std::vector<std::vector<
-      std::unordered_map<uint32_t, std::vector<ForestSample>>>>
-      pool_f_;
+  struct LiveA {
+    StateId q;
+    uint32_t id;
+  };
+  struct LiveF {
+    uint32_t tau;
+    uint32_t j;
+    uint32_t id;
+  };
+  std::vector<std::vector<LiveA>> live_a_by_s_;
+  std::vector<std::vector<LiveF>> live_f_by_s_;
+  // Dense stratum ids: the sorted live sizes of state q are
+  // a_size_[a_begin_[q], a_begin_[q + 1]), those of pair p are
+  // f_size_[f_begin_[p], f_begin_[p + 1]); an id is a position there.
+  std::vector<uint32_t> a_begin_;
+  std::vector<uint32_t> a_size_;
+  std::vector<uint32_t> f_begin_;
+  std::vector<uint32_t> f_size_;
+  // Per-stratum tables, indexed by dense id.
+  std::vector<ExtFloat> est_a_;
+  std::vector<std::vector<TreeSample>> pool_a_;
+  std::vector<ExtFloat> est_f_;
+  std::vector<std::vector<ForestSample>> pool_f_;
 };
 
 }  // namespace

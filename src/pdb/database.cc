@@ -4,6 +4,19 @@
 
 namespace pqe {
 
+namespace {
+
+void MixByte(uint64_t* h, unsigned char c) {
+  *h ^= c;
+  *h *= 1099511628211ull;
+}
+
+void MixString(uint64_t* h, const std::string& s) {
+  for (unsigned char c : s) MixByte(h, c);
+}
+
+}  // namespace
+
 size_t Database::FactHash::operator()(const Fact& f) const {
   size_t h = std::hash<uint32_t>()(f.relation);
   for (ValueId v : f.args) {
@@ -47,6 +60,18 @@ Result<FactId> Database::AddFact(RelationId relation,
     facts_by_relation_.resize(schema_.NumRelations());
   }
   facts_by_relation_[relation].push_back(id);
+  // Extend the fingerprint by the bytes of FactToString(id), without
+  // building the string, then a 0xff delimiter (never a byte of UTF-8
+  // text) so adjacent renderings cannot alias.
+  const Fact& added = facts_.back();
+  MixString(&fingerprint_, schema_.Name(relation));
+  MixByte(&fingerprint_, '(');
+  for (size_t i = 0; i < added.args.size(); ++i) {
+    if (i > 0) MixByte(&fingerprint_, ',');
+    MixString(&fingerprint_, value_names_[added.args[i]]);
+  }
+  MixByte(&fingerprint_, ')');
+  MixByte(&fingerprint_, 0xffu);
   return id;
 }
 

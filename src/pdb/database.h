@@ -78,6 +78,13 @@ class Database {
   std::string FactToString(FactId id) const;
   std::string FactToString(const Fact& f) const;
 
+  /// 64-bit FNV-1a fingerprint of every fact's rendering (FactToString),
+  /// in FactId order. Facts are append-only and renderings never change, so
+  /// AddFact extends it in O(|fact|) and copies carry it: two databases
+  /// holding the same facts in the same order agree on it, whatever objects
+  /// they are. The serving layer keys its prepared cache on it.
+  uint64_t FactsFingerprint() const { return fingerprint_; }
+
  private:
   struct FactHash {
     size_t operator()(const Fact& f) const;
@@ -90,6 +97,7 @@ class Database {
   std::unordered_map<Fact, FactId, FactHash> fact_ids_;
   std::vector<std::vector<FactId>> facts_by_relation_;
   std::vector<FactId> empty_;
+  uint64_t fingerprint_ = 1469598103934665603ull;  // FNV-1a offset basis
 };
 
 }  // namespace pqe

@@ -34,9 +34,7 @@ uint64_t PreparedCache::ContentKey(const ConjunctiveQuery& query,
   uint64_t h = 1469598103934665603ull;
   MixBytes(&h, query.ToString(db.schema()));
   MixU64(&h, db.NumFacts());
-  for (FactId f = 0; f < db.NumFacts(); ++f) {
-    MixBytes(&h, db.FactToString(f));
-  }
+  MixU64(&h, db.FactsFingerprint());
   MixU64(&h, max_width);
   return h;
 }
@@ -49,9 +47,7 @@ uint64_t PreparedCache::RpqContentKey(const rpq::RpqQuery& query,
   MixBytes(&h, "rpq");
   MixBytes(&h, query.Canonical());
   MixU64(&h, db.NumFacts());
-  for (FactId f = 0; f < db.NumFacts(); ++f) {
-    MixBytes(&h, db.FactToString(f));
-  }
+  MixU64(&h, db.FactsFingerprint());
   return h;
 }
 

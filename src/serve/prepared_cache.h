@@ -78,17 +78,20 @@ class PreparedCache {
   /// PqeService::ApplyUpdate to push a delta to every resident query.
   std::vector<std::shared_ptr<const PreparedQuery>> Snapshot() const;
 
-  /// The content key: FNV-1a over the rendered query, every fact of the
-  /// database in FactId order, and the width budget. 64-bit fingerprints,
-  /// so distinct workloads collide with negligible probability; a collision
-  /// would serve the colliding key the other key's skeleton.
+  /// The content key: FNV-1a over the rendered query, the fact count, the
+  /// database's fact fingerprint (Database::FactsFingerprint — every fact's
+  /// rendering in FactId order, maintained by AddFact, so the probe costs
+  /// O(|query|) rather than O(|D|)), and the width budget. 64-bit
+  /// fingerprints, so distinct workloads collide with negligible
+  /// probability; a collision would serve the colliding key the other key's
+  /// skeleton.
   static uint64_t ContentKey(const ConjunctiveQuery& query,
                              const Database& db, size_t max_width);
 
   /// The RPQ content key: FNV-1a over an "rpq" tag, the canonical regex
   /// rendering (RpqQuery::Canonical — deterministic, so equal regexes agree
-  /// no matter how they were spelled), and every fact of the database. No
-  /// width term: the string route has no decomposition.
+  /// no matter how they were spelled), the fact count and the fact
+  /// fingerprint. No width term: the string route has no decomposition.
   static uint64_t RpqContentKey(const rpq::RpqQuery& query, const Database& db);
 
  private:

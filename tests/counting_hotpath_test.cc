@@ -15,6 +15,7 @@
 
 #include "automata/nfa.h"
 #include "automata/nfta.h"
+#include "automata/tree.h"
 #include "counting/count_nfa.h"
 #include "counting/count_nfta.h"
 #include "counting/exact.h"
@@ -497,6 +498,101 @@ TEST(HotpathEquivalenceTest, CountNfaCachedMatchesLegacy) {
     EXPECT_EQ(cached->stats.accepted, legacy->stats.accepted);
     EXPECT_EQ(cached->stats.membership_checks,
               legacy->stats.membership_checks);
+  }
+}
+
+// Long words over a two-letter alphabet: many same-symbol in-transition
+// groups, so the Karp–Luby loop and the run-state memo run in most strata,
+// and ref chains dozens of links deep. The memo arena holds tens of
+// thousands of sets by the end of a run, so it reallocates many times, and
+// every append happens while a chain replay is in progress — the replay
+// must re-take its predecessor view after each append. Any stale view
+// changes a membership answer, and with it the estimate.
+TEST(HotpathEquivalenceTest, CountNfaArenaLongWordsMatchLegacyAndThreads) {
+  Rng rng(0xa7e7a);
+  size_t total_misses = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const size_t S = 6 + rng.NextBounded(6);
+    Nfa a = RandomNfa(&rng, S, 2, 3 * S + rng.NextBounded(2 * S));
+    const size_t n = 24 + rng.NextBounded(16);
+    auto legacy = CountNfaStrings(a, n, HotpathConfig(seed, true));
+    auto cached = CountNfaStrings(a, n, HotpathConfig(seed, false));
+    ASSERT_TRUE(legacy.ok() && cached.ok());
+    EXPECT_TRUE(cached->value == legacy->value)
+        << "seed " << seed << ": " << cached->value.ToString() << " vs "
+        << legacy->value.ToString();
+    EXPECT_EQ(cached->stats.attempts, legacy->stats.attempts);
+    EXPECT_EQ(cached->stats.accepted, legacy->stats.accepted);
+    EXPECT_EQ(cached->stats.membership_checks,
+              legacy->stats.membership_checks);
+    EXPECT_EQ(cached->stats.pool_entries, legacy->stats.pool_entries);
+    total_misses += cached->stats.runstates_memo_misses;
+
+    // The fast tier's median-of-R: the same answer and stats at 1 and 4
+    // threads (per-rep counters, fixed-order merge).
+    EstimatorConfig fast = HotpathConfig(seed, false);
+    fast.kernel_mode = KernelMode::kFast;
+    fast.repetitions = 4;
+    fast.num_threads = 1;
+    auto fast1 = CountNfaStrings(a, n, fast);
+    fast.num_threads = 4;
+    auto fast4 = CountNfaStrings(a, n, fast);
+    ASSERT_TRUE(fast1.ok() && fast4.ok());
+    EXPECT_TRUE(fast1->value == fast4->value) << "seed " << seed;
+    EXPECT_EQ(fast1->stats.attempts, fast4->stats.attempts);
+    EXPECT_EQ(fast1->stats.runstates_memo_misses,
+              fast4->stats.runstates_memo_misses);
+  }
+  // The regime the test is for: memos of about 10^4 sets per run, so the
+  // arena doubles a dozen times or more in every run, each time inside a
+  // replay (ASan builds turn a stale view into a hard failure).
+  EXPECT_GT(total_misses, size_t{6} << 12);
+}
+
+// An unambiguous NFTA (a distinct symbol per transition), so every symbol
+// group is a singleton and every tier returns the exact count. State A has
+// two live sizes, {1, 3}; state Q is live at sizes 2, 3 and 4, and at size
+// 3 (reached through v(B)) it looks up A's full forest at size 2, which
+// falls between A's two live sizes — a dense-id lookup miss inside a run.
+// A wrong id there would add a non-zero weight and change the count.
+TEST(HotpathEquivalenceTest, CountNftaDenseIdLookupMissesBetweenLiveSizes) {
+  Nfta t;
+  const StateId root = t.AddState();
+  const StateId q = t.AddState();
+  const StateId a = t.AddState();
+  const StateId b = t.AddState();
+  const StateId leaf = t.AddState();
+  t.SetInitialState(root);
+  t.AddTransition(leaf, 0, {});
+  t.AddTransition(a, 1, {});               // A: size 1
+  t.AddTransition(a, 2, {leaf, leaf});     // A: size 3
+  t.AddTransition(b, 3, {leaf});           // B: size 2
+  t.AddTransition(q, 4, {a});              // Q: sizes 2, 4
+  t.AddTransition(q, 5, {b});              // Q: size 3
+  t.AddTransition(root, 6, {q, q});        // root: 1 + (2,4) / (4,2) / (3,3)
+  const size_t n = 7;
+  auto exact = ExactCountNftaTrees(t, n);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact->ToDecimalString(), "3");
+  const ExtFloat three = ExtFloat::FromUint64(3);
+  for (bool legacy : {true, false}) {
+    auto est = CountNftaTrees(t, n, HotpathConfig(5, legacy));
+    ASSERT_TRUE(est.ok());
+    EXPECT_TRUE(est->value == three) << est->value.ToString();
+  }
+  EstimatorConfig fast = HotpathConfig(5, false);
+  fast.kernel_mode = KernelMode::kFast;
+  auto fast_est = CountNftaTrees(t, n, fast);
+  ASSERT_TRUE(fast_est.ok());
+  EXPECT_TRUE(fast_est->value == three) << fast_est->value.ToString();
+  // Samples come from the root stratum's pool through the dense ids; each
+  // must be an accepted tree of size n.
+  auto sampled = CountAndSampleNftaTrees(t, n, HotpathConfig(9, false), 12);
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_EQ(sampled->samples.size(), 12u);
+  for (const LabeledTree& tree : sampled->samples) {
+    EXPECT_EQ(tree.size(), n);
+    EXPECT_TRUE(t.Accepts(tree));
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "pdb/database.h"
 #include "pdb/probabilistic_database.h"
 #include "pdb/schema.h"
@@ -93,6 +96,76 @@ TEST(DatabaseTest, ValueInterningIsIdempotent) {
   EXPECT_NE(a1, b);
   EXPECT_EQ(db.ValueName(a1), "a");
   EXPECT_EQ(db.NumValues(), 2u);
+}
+
+// FNV-1a over every fact's FactToString rendering plus a 0xff delimiter —
+// the documented definition of Database::FactsFingerprint.
+uint64_t RenderedFingerprint(const Database& db) {
+  uint64_t h = 1469598103934665603ull;
+  for (FactId f = 0; f < db.NumFacts(); ++f) {
+    for (unsigned char c : db.FactToString(f)) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    h ^= 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(DatabaseTest, FingerprintSeesFactsNotObjectsOrValueIds) {
+  Database a(TwoRelationSchema());
+  ASSERT_TRUE(a.AddFactByName("R", {"a", "b"}).ok());
+  ASSERT_TRUE(a.AddFactByName("S", {"c"}).ok());
+  Database b(TwoRelationSchema());
+  // Constants interned in another order get other ValueIds; the facts, and
+  // so their renderings, are the same.
+  b.InternValue("c");
+  b.InternValue("b");
+  ASSERT_TRUE(b.AddFactByName("R", {"a", "b"}).ok());
+  ASSERT_TRUE(b.AddFactByName("S", {"c"}).ok());
+  EXPECT_EQ(a.FactsFingerprint(), b.FactsFingerprint());
+  EXPECT_EQ(a.FactsFingerprint(), RenderedFingerprint(a));
+  // A duplicate insert adds no fact and leaves the fingerprint alone.
+  ASSERT_TRUE(b.AddFactByName("R", {"a", "b"}).ok());
+  EXPECT_EQ(a.FactsFingerprint(), b.FactsFingerprint());
+  EXPECT_NE(a.FactsFingerprint(), Database(TwoRelationSchema())
+                                      .FactsFingerprint());
+}
+
+TEST(DatabaseTest, FingerprintChangesWithAFactOrTheOrder) {
+  Database base(TwoRelationSchema());
+  ASSERT_TRUE(base.AddFactByName("R", {"a", "b"}).ok());
+  ASSERT_TRUE(base.AddFactByName("R", {"b", "c"}).ok());
+  Database changed(TwoRelationSchema());
+  ASSERT_TRUE(changed.AddFactByName("R", {"a", "b"}).ok());
+  ASSERT_TRUE(changed.AddFactByName("R", {"b", "d"}).ok());
+  EXPECT_NE(base.FactsFingerprint(), changed.FactsFingerprint());
+  Database reordered(TwoRelationSchema());
+  ASSERT_TRUE(reordered.AddFactByName("R", {"b", "c"}).ok());
+  ASSERT_TRUE(reordered.AddFactByName("R", {"a", "b"}).ok());
+  EXPECT_NE(base.FactsFingerprint(), reordered.FactsFingerprint());
+  // Field boundaries count: R(ab,c) is not R(a,bc).
+  Database left(TwoRelationSchema());
+  ASSERT_TRUE(left.AddFactByName("R", {"ab", "c"}).ok());
+  Database right(TwoRelationSchema());
+  ASSERT_TRUE(right.AddFactByName("R", {"a", "bc"}).ok());
+  EXPECT_NE(left.FactsFingerprint(), right.FactsFingerprint());
+}
+
+TEST(DatabaseTest, CopiesCarryTheFingerprint) {
+  Database original(TwoRelationSchema());
+  ASSERT_TRUE(original.AddFactByName("R", {"a", "b"}).ok());
+  ASSERT_TRUE(original.AddFactByName("S", {"a"}).ok());
+  Database copy = original;
+  EXPECT_EQ(copy.FactsFingerprint(), original.FactsFingerprint());
+  Database moved = std::move(copy);
+  EXPECT_EQ(moved.FactsFingerprint(), original.FactsFingerprint());
+  // A copy extended on its own diverges from the original and still
+  // fingerprints its own renderings.
+  ASSERT_TRUE(moved.AddFactByName("S", {"b"}).ok());
+  EXPECT_NE(moved.FactsFingerprint(), original.FactsFingerprint());
+  EXPECT_EQ(moved.FactsFingerprint(), RenderedFingerprint(moved));
 }
 
 // -------------------------------------------------- ProbabilisticDatabase --
