@@ -22,9 +22,11 @@
 //
 // The E4/E8 cells run the tree route (CountNFTA). The path sweep runs path
 // CQs through the string route instead (PathPqeEstimate: §5.1 gadgets on
-// the Section 3 NFA, counted by CountNFA), recording only
+// the Section 3 NFA, counted by CountNFA), recording
 // pqe.bench.counting_hotpath.path.<point>.{legacy_ms,cached_ms,fast_ms,
-// speedup,fast_speedup}, with the same cached == legacy bit-identity check.
+// speedup,fast_speedup} plus the cached run's memo_hits, memo_misses and
+// runstates_steps (subset simulations the lazy DFA actually ran), with the
+// same cached == legacy bit-identity check.
 
 #include <algorithm>
 #include <chrono>
@@ -288,13 +290,20 @@ void SweepPathRoute(uint32_t max_len) {
     reg.GetGauge(prefix + ".fast_ms").Set(fast_ms);
     reg.GetGauge(prefix + ".speedup").Set(legacy_ms / cached_ms);
     reg.GetGauge(prefix + ".fast_speedup").Set(cached_ms / fast_ms);
+    reg.GetGauge(prefix + ".memo_hits")
+        .Set(static_cast<double>(cached.stats.runstates_memo_hits));
+    reg.GetGauge(prefix + ".memo_misses")
+        .Set(static_cast<double>(cached.stats.runstates_memo_misses));
+    reg.GetGauge(prefix + ".runstates_steps")
+        .Set(static_cast<double>(cached.stats.runstates_steps));
     std::printf("  %-10s %-12.1f %-12.1f %-12.1f %-8.2f %-8.2f %-12.4f "
-                "hits=%zu misses=%zu\n",
+                "hits=%zu misses=%zu steps=%zu\n",
                 ("path.l" + std::to_string(len)).c_str(), legacy_ms,
                 cached_ms, fast_ms, legacy_ms / cached_ms,
                 cached_ms / fast_ms, cached.log2_probability,
                 cached.stats.runstates_memo_hits,
-                cached.stats.runstates_memo_misses);
+                cached.stats.runstates_memo_misses,
+                cached.stats.runstates_steps);
   }
   std::printf("\n");
 }

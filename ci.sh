@@ -5,7 +5,7 @@
 #
 #   ./ci.sh            # all configurations
 #   ./ci.sh tier1      # just the tier-1 verify
-#   ./ci.sh notrace    # just PQE_ENABLE_TRACING=OFF
+#   ./ci.sh notrace    # just PQE_ENABLE_TRACING=OFF (warnings as errors)
 #   ./ci.sh sanitize   # just ASan/UBSan
 #   ./ci.sh tsan       # just ThreadSanitizer (PQE_THREADS=8)
 #   ./ci.sh serve_smoke # batch serving CLI under TSan (PQE_THREADS=8)
@@ -34,7 +34,10 @@ tier1() {
 }
 
 notrace() {
-  run_config "no-tracing" build-notrace -DPQE_ENABLE_TRACING=OFF
+  # Warnings fail this configuration (-Werror), so new ones break CI
+  # without a build of their own.
+  run_config "no-tracing" build-notrace -DPQE_ENABLE_TRACING=OFF \
+    -DPQE_WERROR=ON
 }
 
 sanitize() {

@@ -83,16 +83,20 @@ class Nfa {
 
   /// Sparse subset simulation: the same reachable set as a sorted state
   /// list. Cost tracks the active-set size times out-degree per step rather
-  /// than the automaton size — the membership oracle the counting estimator
-  /// leans on.
+  /// than the automaton size. CountNFA's legacy ablation tier
+  /// (disable_hotpath_caches) runs it on every materialized prefix; the
+  /// cached tiers step interned sets with ActiveStep instead.
   std::vector<StateId> ActiveStatesAfter(
       const std::vector<SymbolId>& word) const;
 
   /// One step of the sparse subset simulation: the sorted successor set of
   /// the sorted state set `current` under `symbol`, written into `*next`
-  /// (scratch-friendly: reuses next's capacity). Exposed for the counting
-  /// layer's memoized membership oracle, whose sets are views into one
-  /// arena; `current` must not alias `*next`.
+  /// (scratch-friendly: reuses next's capacity); `current` must not alias
+  /// `*next`. It scans every out-edge of every state in `current`. CountNFA's
+  /// run-state memo is a lazy subset DFA over interned sets, and it calls
+  /// this only on a miss in its (subset id, symbol) table, i.e. once per
+  /// distinct step of a run (docs/performance.md, "CountNFA: a lazy subset
+  /// DFA").
   void ActiveStep(Span<StateId> current, SymbolId symbol,
                   std::vector<StateId>* next) const;
 

@@ -51,6 +51,7 @@ void RecordCountRun(const char* prefix, const CountStats& stats,
       .Add(stats.runstates_memo_hits);
   metrics.GetCounter("counting.runstates_memo_misses")
       .Add(stats.runstates_memo_misses);
+  metrics.GetCounter("counting.runstates_steps").Add(stats.runstates_steps);
 }
 
 size_t EstimatorConfig::ResolvePoolSize(size_t n) const {

@@ -113,7 +113,8 @@ struct EstimatorConfig {
   X(alias_builds)                 \
   X(batch_draws)                  \
   X(runstates_memo_hits)          \
-  X(runstates_memo_misses)
+  X(runstates_memo_misses)        \
+  X(runstates_steps)
 
 /// Run statistics reported by the counters (for benchmarks and diagnostics).
 struct CountStats {
@@ -129,6 +130,7 @@ struct CountStats {
   size_t batch_draws = 0;       // block-RNG batches drawn (fast kernels)
   size_t runstates_memo_hits = 0;    // membership answered from the memo
   size_t runstates_memo_misses = 0;  // membership computed and memoized
+  size_t runstates_steps = 0;  // subset simulations run (CountNFA DFA misses)
 
   /// Visits (name, value) for every field, in declaration order.
   template <typename Fn>
@@ -173,8 +175,9 @@ class ScopedSpan;
 /// "exact"/"fast" tier) to `span` and folds the run into the global metric
 /// registry under `prefix` (e.g. "pqe.count_nfta"), plus the cross-counter
 /// `counting.picker_builds` / `counting.alias_builds` /
-/// `counting.batch_draws` / `counting.runstates_memo_{hits,misses}`
-/// hot-path counters. One call per counter run, not per sample.
+/// `counting.batch_draws` / `counting.runstates_memo_{hits,misses}` /
+/// `counting.runstates_steps` hot-path counters. One call per counter run,
+/// not per sample.
 void RecordCountRun(const char* prefix, const CountStats& stats,
                     bool hotpath_cached, KernelMode kernel_mode,
                     obs::ScopedSpan* span);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "counting/flat_bitset.h"
@@ -39,6 +40,16 @@ struct Slot {
   uint32_t len = 0;
 };
 
+// Fibonacci hashing: the top (64 - shift) bits of key · 2^64/φ, the home
+// bucket of `key` in a power-of-two open-addressing table.
+inline size_t HashBucket(uint64_t key, unsigned shift) {
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
+// Buckets a lazy-DFA table starts with (a power of two); tables double at
+// half load.
+constexpr unsigned kTableLog2 = 8;
+
 class NfaCounter {
  public:
   NfaCounter(const Nfa& nfa, size_t n, const EstimatorConfig& config)
@@ -67,13 +78,19 @@ class NfaCounter {
     // arenas every grow-and-copy.
     const size_t max_pooled = stats_.strata_live * pool_target_;
     pool_arena_.reserve(max_pooled);
-    if (cached_) reach_.reserve(max_pooled);
     if (cached_) {
-      // The run-state set of the empty string — the sorted initial states —
-      // is the memo arena's first entry; level-0 slots all point at it.
-      reach_arena_ = nfa_.initial_states();
-      std::sort(reach_arena_.begin(), reach_arena_.end());
-      initial_reach_ = Slot{0, static_cast<uint32_t>(reach_arena_.size())};
+      reach_.reserve(max_pooled);
+      // Subset id 0 is the "not computed" sentinel of reach_; the run-state
+      // set of the empty string — the sorted initial states — is subset 1,
+      // and level-0 samples all resolve to it.
+      set_slot_.assign(1, Slot{});
+      set_hash_.assign(1, 0);
+      set_table_.assign(size_t{1} << kTableLog2, 0);
+      step_table_.assign(size_t{1} << kTableLog2, StepEntry{});
+      set_shift_ = step_shift_ = 64 - kTableLog2;
+      step_scratch_ = nfa_.initial_states();
+      std::sort(step_scratch_.begin(), step_scratch_.end());
+      initial_set_ = Intern(step_scratch_);
     }
     // Level 0: A(q, 0) = {λ} iff q is initial.
     for (StateId q = 0; q < num_states_; ++q) {
@@ -158,55 +175,122 @@ class NfaCounter {
   // keyed by the sample's pool-arena index — pools are append-only and only
   // finalized strata are referenced, so entries never invalidate within a
   // run. Shared prefixes across draws (and across strata: every ref chain
-  // ends in the same low strata) are simulated once instead of per check.
-  // The sets live back to back in reach_arena_; reach_ holds one (offset,
-  // length) slot per pooled sample, parallel to pool_arena_. Every reach set
-  // contains q, so length 0 doubles as the "uncomputed" sentinel. The view
-  // returned is valid until the next call (a replay appends to the arena).
+  // ends in the same low strata) are resolved once instead of per check.
+  // reach_ holds one subset id per pooled sample, parallel to pool_arena_
+  // (0 = not computed yet). The view returned is valid until the next call
+  // (a replay may intern a new set and grow the set arena).
   Span<StateId> ReachStates(StateId q, size_t l, uint32_t idx) {
     const Nfa::Transition* trans = nfa_.transitions().data();
     // Walk the ref chain down to the first memoized suffix (or level 0),
     // recording the uncomputed links.
     chain_.clear();
     uint32_t cur = PoolIndex(l, q, idx);
+    uint32_t set = 0;
     for (size_t cur_l = l;; --cur_l) {
-      Slot& slot = reach_[cur];
-      if (cur_l == 0) {
-        if (slot.len == 0) {
-          ++stats_.runstates_memo_misses;
-          slot = initial_reach_;
-        } else {
-          ++stats_.runstates_memo_hits;
-        }
-        break;
-      }
-      if (slot.len != 0) {
+      uint32_t& id = reach_[cur];
+      if (id != 0) {
         ++stats_.runstates_memo_hits;
+        set = id;
         break;
       }
       ++stats_.runstates_memo_misses;
+      if (cur_l == 0) {
+        set = id = initial_set_;
+        break;
+      }
       chain_.push_back(cur);
       const SampleRef& ref = pool_arena_[cur];
       cur = PoolIndex(cur_l - 1, trans[ref.transition].from, ref.prefix);
     }
-    // Replay upward: one subset-simulation step per uncomputed link, from
-    // the set `cur` ends the walk on. The predecessor view is re-taken each
-    // step, after the previous step's append may have moved the arena.
+    // Replay upward: one lazy-DFA step per uncomputed link.
     for (size_t i = chain_.size(); i-- > 0;) {
       const uint32_t link = chain_[i];
-      const Slot prev = reach_[cur];
-      nfa_.ActiveStep(Span<StateId>(reach_arena_.data() + prev.off, prev.len),
-                      trans[pool_arena_[link].transition].symbol,
-                      &step_scratch_);
-      PQE_CHECK(reach_arena_.size() + step_scratch_.size() <= UINT32_MAX);
-      reach_[link] = Slot{static_cast<uint32_t>(reach_arena_.size()),
-                          static_cast<uint32_t>(step_scratch_.size())};
-      reach_arena_.insert(reach_arena_.end(), step_scratch_.begin(),
-                          step_scratch_.end());
-      cur = link;
+      set = Step(set, trans[pool_arena_[link].transition].symbol);
+      reach_[link] = set;
     }
-    const Slot out = reach_[cur];
-    return Span<StateId>(reach_arena_.data() + out.off, out.len);
+    return SetView(set);
+  }
+
+  // --- Lazy subset DFA ----------------------------------------------------
+  //
+  // Every distinct run-state set is interned once in set_arena_ under a
+  // dense subset id, and step_table_ maps a packed (subset id, symbol) key
+  // to the successor's id. A step runs the subset simulation
+  // (Nfa::ActiveStep) only when its key is new to the run; every other
+  // step is one table probe. Both tables are flat open-addressing arrays
+  // with linear probing, and they die with the counter.
+
+  Span<StateId> SetView(uint32_t set) const {
+    const Slot s = set_slot_[set];
+    return Span<StateId>(set_arena_.data() + s.off, s.len);
+  }
+
+  // The successor subset of `set` under `symbol`.
+  uint32_t Step(uint32_t set, SymbolId symbol) {
+    // set >= 1, so a live key is never 0, the empty-bucket marker.
+    const uint64_t key = (uint64_t{set} << 32) | symbol;
+    const size_t mask = step_table_.size() - 1;
+    size_t b = HashBucket(key, step_shift_);
+    for (; step_table_[b].key != 0; b = (b + 1) & mask) {
+      if (step_table_[b].key == key) return step_table_[b].next;
+    }
+    ++stats_.runstates_steps;
+    nfa_.ActiveStep(SetView(set), symbol, &step_scratch_);
+    const uint32_t next = Intern(step_scratch_);
+    step_table_[b] = StepEntry{key, next};
+    if (2 * ++step_count_ > step_table_.size()) GrowStepTable();
+    return next;
+  }
+
+  // The id of the sorted set `states`, appended to set_arena_ if new.
+  uint32_t Intern(const std::vector<StateId>& states) {
+    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the state ids
+    for (StateId s : states) h = (h ^ s) * 0x100000001b3ull;
+    const size_t mask = set_table_.size() - 1;
+    size_t b = HashBucket(h, set_shift_);
+    for (; set_table_[b] != 0; b = (b + 1) & mask) {
+      const uint32_t id = set_table_[b];
+      if (set_hash_[id] != h) continue;
+      const Span<StateId> known = SetView(id);
+      if (std::equal(known.begin(), known.end(), states.begin(),
+                     states.end())) {
+        return id;
+      }
+    }
+    PQE_CHECK(set_slot_.size() < UINT32_MAX);
+    PQE_CHECK(set_arena_.size() + states.size() <= UINT32_MAX);
+    const uint32_t id = static_cast<uint32_t>(set_slot_.size());
+    set_slot_.push_back(Slot{static_cast<uint32_t>(set_arena_.size()),
+                             static_cast<uint32_t>(states.size())});
+    set_hash_.push_back(h);
+    set_arena_.insert(set_arena_.end(), states.begin(), states.end());
+    set_table_[b] = id;
+    if (2 * (set_slot_.size() - 1) > set_table_.size()) GrowSetTable();
+    return id;
+  }
+
+  void GrowStepTable() {
+    const std::vector<StepEntry> old = std::move(step_table_);
+    step_table_.assign(old.size() * 2, StepEntry{});
+    --step_shift_;
+    const size_t mask = step_table_.size() - 1;
+    for (const StepEntry& e : old) {
+      if (e.key == 0) continue;
+      size_t b = HashBucket(e.key, step_shift_);
+      while (step_table_[b].key != 0) b = (b + 1) & mask;
+      step_table_[b] = e;
+    }
+  }
+
+  void GrowSetTable() {
+    set_table_.assign(set_table_.size() * 2, 0);
+    --set_shift_;
+    const size_t mask = set_table_.size() - 1;
+    for (uint32_t id = 1; id < set_slot_.size(); ++id) {
+      size_t b = HashBucket(set_hash_[id], set_shift_);
+      while (set_table_[b] != 0) b = (b + 1) & mask;
+      set_table_[b] = id;
+    }
   }
 
   // A same-symbol group of incoming transitions (see ProcessStratum): the
@@ -608,16 +692,30 @@ class NfaCounter {
   std::vector<Slot> pool_;             // run of pool_arena_ per stratum
   std::vector<SampleRef> pool_arena_;  // every pool, back to back
 
-  // Run-state memo (ReachStates): one slot per pooled sample, parallel to
-  // pool_arena_, viewing sorted sets stored back to back in reach_arena_.
-  std::vector<Slot> reach_;
-  std::vector<StateId> reach_arena_;
-  Slot initial_reach_;
+  // Run-state memo (ReachStates): one subset id per pooled sample,
+  // parallel to pool_arena_ (0 = not computed).
+  std::vector<uint32_t> reach_;
+  // Lazy subset DFA: interned sorted sets back to back in set_arena_, one
+  // slot and hash per subset id (id 0 unused); set_table_ finds an id by
+  // content, step_table_ a successor by (subset id, symbol).
+  struct StepEntry {
+    uint64_t key = 0;  // (subset id << 32) | symbol; 0 = empty bucket
+    uint32_t next = 0;
+  };
+  std::vector<StateId> set_arena_;
+  std::vector<Slot> set_slot_;
+  std::vector<uint64_t> set_hash_;
+  std::vector<uint32_t> set_table_;  // subset ids; 0 = empty bucket
+  std::vector<StepEntry> step_table_;
+  size_t step_count_ = 0;
+  unsigned set_shift_ = 0;   // 64 - log2(set_table_.size())
+  unsigned step_shift_ = 0;  // 64 - log2(step_table_.size())
+  uint32_t initial_set_ = 0;
 
   // Hot-path scratch, reused across draws and strata.
   IndexDrawer drawer_;
   std::vector<uint32_t> chain_;  // uncomputed memo links, top first
-  std::vector<StateId> step_scratch_;
+  std::vector<StateId> step_scratch_;  // a subset being stepped or interned
   std::vector<Member> members_;  // symbol groups of the current stratum
   std::vector<Group> groups_;
   std::vector<SampleRef> accepted_;  // every group's canonical hits
@@ -705,6 +803,7 @@ Result<CountEstimate> CountNfaStrings(const Nfa& nfa, size_t n,
     aggregate.batch_draws += est.stats.batch_draws;
     aggregate.runstates_memo_hits += est.stats.runstates_memo_hits;
     aggregate.runstates_memo_misses += est.stats.runstates_memo_misses;
+    aggregate.runstates_steps += est.stats.runstates_steps;
   }
   std::sort(runs.begin(), runs.end(),
             [](const CountEstimate& a, const CountEstimate& b) {

@@ -549,6 +549,74 @@ TEST(HotpathEquivalenceTest, CountNfaArenaLongWordsMatchLegacyAndThreads) {
   EXPECT_GT(total_misses, size_t{6} << 12);
 }
 
+// "Contains 0,1,0" over {0, 1}: state 0 loops on both symbols and guesses
+// where the pattern starts, so most strings have several runs and both
+// same-symbol groups into the loops of states 0 and 3 are ambiguous. The
+// run-state sets are subsets of four states, so over long words the lazy
+// subset DFA behind the run-state memo takes about a dozen (subset, symbol)
+// steps against thousands of per-sample memo misses.
+Nfa ContainsPatternNfa() {
+  Nfa a;
+  for (int i = 0; i < 4; ++i) a.AddState();
+  a.MarkInitial(0);
+  a.MarkAccepting(2);
+  a.MarkAccepting(3);
+  a.AddTransition(0, 0, 0);
+  a.AddTransition(0, 1, 0);
+  a.AddTransition(0, 0, 1);
+  a.AddTransition(1, 1, 2);
+  a.AddTransition(2, 0, 3);
+  a.AddTransition(3, 0, 3);
+  a.AddTransition(3, 1, 3);
+  a.AddTransition(2, 1, 0);
+  return a;
+}
+
+// The interned-subset memo must answer exactly what the legacy tier's
+// materialize-and-simulate oracle answers, so every draw-determined stat
+// matches; only the cached tier builds pickers and touches the memo.
+TEST(HotpathEquivalenceTest, CountNfaSubsetMemoMatchesLegacy) {
+  const Nfa a = ContainsPatternNfa();
+  const size_t n = 40;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    auto legacy = CountNfaStrings(a, n, HotpathConfig(seed, true));
+    auto cached = CountNfaStrings(a, n, HotpathConfig(seed, false));
+    ASSERT_TRUE(legacy.ok() && cached.ok());
+    EXPECT_TRUE(cached->value == legacy->value)
+        << "seed " << seed << ": " << cached->value.ToString() << " vs "
+        << legacy->value.ToString();
+    CountStats draws = cached->stats;
+    draws.picker_builds = 0;
+    draws.runstates_memo_hits = 0;
+    draws.runstates_memo_misses = 0;
+    draws.runstates_steps = 0;
+    EXPECT_EQ(draws.ToString(), legacy->stats.ToString()) << "seed " << seed;
+    EXPECT_GT(cached->stats.runstates_memo_hits, 0u);
+    EXPECT_GT(cached->stats.runstates_steps, 0u);
+    EXPECT_LT(cached->stats.runstates_steps,
+              cached->stats.runstates_memo_misses);
+
+    // Each kernel tier's median-of-R: the same answer and stats at 1 and 4
+    // threads.
+    for (KernelMode mode : {KernelMode::kExact, KernelMode::kFast}) {
+      EstimatorConfig cfg = HotpathConfig(seed, false);
+      cfg.kernel_mode = mode;
+      cfg.repetitions = 4;
+      cfg.num_threads = 1;
+      auto serial = CountNfaStrings(a, n, cfg);
+      cfg.num_threads = 4;
+      auto parallel = CountNfaStrings(a, n, cfg);
+      ASSERT_TRUE(serial.ok() && parallel.ok());
+      EXPECT_TRUE(serial->value == parallel->value)
+          << KernelModeToString(mode) << ", seed " << seed;
+      EXPECT_EQ(serial->stats.ToString(), parallel->stats.ToString())
+          << KernelModeToString(mode) << ", seed " << seed;
+      EXPECT_LT(serial->stats.runstates_steps,
+                serial->stats.runstates_memo_misses);
+    }
+  }
+}
+
 // An unambiguous NFTA (a distinct symbol per transition), so every symbol
 // group is a singleton and every tier returns the exact count. State A has
 // two live sizes, {1, 3}; state Q is live at sizes 2, 3 and 4, and at size
