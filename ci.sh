@@ -109,6 +109,38 @@ serve_smoke() {
     # the 1ms budget allows on this machine; ERROR rows exit non-zero above.
     echo "${out}" | grep -Eq "Pr\(Q\)|DEADLINE_EXCEEDED" \
       || { echo "serve-smoke: expected answered or deadline rows"; exit 1; }
+    echo "==== serve-smoke: default --method auto (every kAuto route) ===="
+    # social.facts has 7 facts, so kAuto answers each query by a safe plan
+    # or by enumeration. The 20-fact ring is cyclic: its chain RPQ takes
+    # the prepared FPRAS, and its repeated RPQs are not scan-orderable, so
+    # they fall back to lineage.
+    local ring="build-tsan/serve_smoke_ring.facts"
+    local ring_batch="build-tsan/serve_smoke_ring.queries"
+    {
+      for i in $(seq 0 17); do
+        echo "Follows(v${i}, v$(( (i + 1) % 18 ))) 1/2"
+      done
+      echo "Likes(v0, jazz) 3/4"
+      echo "Likes(v9, rock) 2/3"
+    } > "${ring}"
+    {
+      for _ in 1 2; do
+        echo "Likes(x,y)"
+        echo "rpq: Follows/Likes"
+        echo "rpq: Follows+/Likes"
+        echo "rpq: Follows+"
+      done
+    } > "${ring_batch}"
+    out="$(./build-tsan/src/pqe_cli --data examples/data/social.facts \
+      --server-batch "${batch}" --deadline-ms 60000)"
+    out+=$'\n'"$(./build-tsan/src/pqe_cli --data "${ring}" \
+      --server-batch "${ring_batch}" --deadline-ms 60000)"
+    echo "${out}"
+    local route
+    for route in safe-plan enumeration fpras exact-lineage; do
+      echo "${out}" | grep -Fq "[${route}]" \
+        || { echo "serve-smoke: no ${route} row under --method auto"; exit 1; }
+    done
   )
 }
 

@@ -61,55 +61,6 @@ uint64_t MultiplierNfa::GadgetDepth(uint64_t multiplier) {
   return MultiplierNfta::GadgetDepth(multiplier);
 }
 
-Result<Nfa> MultiplierNfa::ToNfa() const {
-  Nfa out;
-  const SymbolId bit0 = BitSymbol(0);
-  const SymbolId bit1 = BitSymbol(1);
-  out.EnsureAlphabetSize(alphabet_size_ + 2);
-  for (size_t s = 0; s < num_states_; ++s) out.AddState();
-  for (StateId s : initial_) out.MarkInitial(s);
-  for (StateId s : accepting_) out.MarkAccepting(s);
-
-  for (const Transition& t : transitions_) {
-    if (t.multiplier == 0) {
-      return Status::InvalidArgument(
-          "multiplier 0 requires the stable translation (ToNfaStable); its "
-          "minimal encoding is omitting the transition");
-    }
-    if (t.width == 0) {
-      out.AddTransition(t.from, t.symbol, t.to);
-      continue;
-    }
-    // Binary comparator: after t.symbol, spell a width-bit string with
-    // value <= bound; eq-track follows the bound's bits, lt-track is free.
-    const uint64_t bound = t.multiplier - 1;
-    const uint64_t k = t.width;
-    std::vector<StateId> eq(k);
-    std::vector<StateId> lt(k);
-    for (uint64_t i = 0; i < k; ++i) eq[i] = out.AddState();
-    for (uint64_t i = 1; i < k; ++i) lt[i] = out.AddState();
-    out.AddTransition(t.from, t.symbol, eq[0]);
-    for (uint64_t i = 0; i < k; ++i) {
-      const bool last = (i + 1 == k);
-      const uint64_t pos = k - 1 - i;
-      const int b = pos >= 64 ? 0 : static_cast<int>((bound >> pos) & 1);
-      const StateId eq_next = last ? t.to : eq[i + 1];
-      const StateId lt_next = last ? t.to : lt[i + 1];
-      if (b == 1) {
-        out.AddTransition(eq[i], bit1, eq_next);
-        out.AddTransition(eq[i], bit0, lt_next);
-      } else {
-        out.AddTransition(eq[i], bit0, eq_next);
-      }
-      if (i >= 1) {
-        out.AddTransition(lt[i], bit0, lt_next);
-        out.AddTransition(lt[i], bit1, lt_next);
-      }
-    }
-  }
-  return out;
-}
-
 Result<Nfa> MultiplierNfa::ToNfaStable(StableNfaLayout* layout) const {
   PQE_CHECK(layout != nullptr);
   *layout = StableNfaLayout{};

@@ -54,7 +54,7 @@ class MultiplierNfa {
   struct Transition {
     StateId from;
     SymbolId symbol;
-    /// 0 = impossible transition (stable translation only; ToNfa rejects).
+    /// 0 = impossible transition (its slot leads into the dead sink).
     uint64_t multiplier = 1;
     uint64_t width = 0;  // comparator bits; >= GadgetDepth(max(mult, 1))
     StateId to;
@@ -88,13 +88,10 @@ class MultiplierNfa {
   /// multiplier == 1 and width == 0).
   static uint64_t GadgetDepth(uint64_t multiplier);
 
-  /// Translation to an ordinary NFA over Σ ∪ {0, 1}. Rejects multiplier-0
-  /// transitions (their minimal encoding is absence; use ToNfaStable).
-  Result<Nfa> ToNfa() const;
-
-  /// Value-stable variant of ToNfa: fixed-shape slots whose transition
-  /// targets alone encode the multipliers, recorded in `*layout` for
-  /// in-place re-encoding via PatchStableNfaSlot. Must not be Trim()ed.
+  /// Translation to an ordinary NFA over Σ ∪ {0, 1}, value-stable:
+  /// fixed-shape slots whose transition targets alone encode the
+  /// multipliers, recorded in `*layout` for in-place re-encoding via
+  /// PatchStableNfaSlot. Must not be Trim()ed.
   Result<Nfa> ToNfaStable(StableNfaLayout* layout) const;
 
  private:

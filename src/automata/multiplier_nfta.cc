@@ -68,66 +68,6 @@ uint64_t MultiplierNfta::GadgetDepth(uint64_t multiplier) {
   return k;  // ⌊log₂(n−1)⌋ + 1
 }
 
-Result<Nfta> MultiplierNfta::ToNfta() const {
-  Nfta out;
-  // Σ' = Σ ∪ {0, 1}; bit symbols take the next two ids.
-  const SymbolId bit0 = BitSymbol(0);
-  const SymbolId bit1 = BitSymbol(1);
-  out.EnsureAlphabetSize(alphabet_size_ + 2);
-  for (size_t s = 0; s < num_states_; ++s) out.AddState();
-  out.SetInitialState(initial_);
-
-  for (const Transition& t : transitions_) {
-    if (t.multiplier == 0) {
-      return Status::InvalidArgument(
-          "multiplier 0 requires the stable translation (ToNftaStable); its "
-          "minimal encoding is omitting the transition");
-    }
-    if (t.width == 0) {
-      out.AddTransition(t.from, t.symbol, t.children);
-      continue;
-    }
-    // Binary comparator: accept exactly the k-bit strings with value
-    // <= B = n − 1 (leading zeros pad when k exceeds the minimal width),
-    // spelled on a unary path below the t.symbol node.
-    // States: eq_i = "first i bits equal B's prefix" (i = 0..k−1),
-    //         lt_i = "already strictly below" (i = 1..k−1).
-    const uint64_t bound = t.multiplier - 1;
-    const uint64_t k = t.width;
-    std::vector<StateId> eq(k);  // eq[i] = state before reading bit i+1
-    std::vector<StateId> lt(k);  // lt[i] = state before reading bit i+1 (i>=1)
-    for (uint64_t i = 0; i < k; ++i) eq[i] = out.AddState();
-    for (uint64_t i = 1; i < k; ++i) lt[i] = out.AddState();
-
-    out.AddTransition(t.from, t.symbol, {eq[0]});
-    for (uint64_t i = 0; i < k; ++i) {
-      const bool last = (i + 1 == k);
-      const uint64_t pos = k - 1 - i;  // bit position, MSB first
-      const int b = pos >= 64 ? 0 : static_cast<int>((bound >> pos) & 1);
-      // Successor helper: the node after bit i+1 is either the next gadget
-      // state (unary path continues) or the original children (path ends).
-      auto eq_next = [&]() -> std::vector<StateId> {
-        return last ? t.children : std::vector<StateId>{eq[i + 1]};
-      };
-      auto lt_next = [&]() -> std::vector<StateId> {
-        return last ? t.children : std::vector<StateId>{lt[i + 1]};
-      };
-      if (b == 1) {
-        out.AddTransition(eq[i], bit1, eq_next());
-        out.AddTransition(eq[i], bit0, lt_next());
-      } else {
-        out.AddTransition(eq[i], bit0, eq_next());
-        // reading 1 from eq with b == 0 would exceed the bound: no rule.
-      }
-      if (i >= 1) {
-        out.AddTransition(lt[i], bit0, lt_next());
-        out.AddTransition(lt[i], bit1, lt_next());
-      }
-    }
-  }
-  return out;
-}
-
 Result<Nfta> MultiplierNfta::ToNftaStable(StableNftaLayout* layout) const {
   PQE_CHECK(layout != nullptr);
   *layout = StableNftaLayout{};

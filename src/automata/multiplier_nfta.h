@@ -49,19 +49,19 @@ void PatchStableNftaSlot(Nfta* nfta, const StableNftaLayout& layout,
 /// A (top-down) NFTA with multipliers T^c (Definition 2): each transition
 /// carries a positive integer n ("multiplier"); taking the transition must
 /// multiply the number of accepted trees by n. Semantics are defined by
-/// translation to an ordinary NFTA (ToNfta) via the binary-comparator gadget
-/// of Section 5.1: below the transition's node a unary path of
+/// translation to an ordinary NFTA (ToNftaStable) via the binary-comparator
+/// gadget of Section 5.1: below the transition's node a unary path of
 /// k = ⌊log₂(n−1)⌋ + 1 bit-labelled nodes spells a binary string, and the
-/// gadget accepts exactly the n strings with value ≤ n − 1.
+/// gadget accepts exactly the n strings with value ≤ n − 1. Its states are
+/// eq_i ("the first i bits equal n − 1's prefix", i = 0..k−1) and lt_i
+/// ("already strictly below", i = 1..k−1).
 class MultiplierNfta {
  public:
   struct Transition {
     StateId from;
     SymbolId symbol;
-    // n ∈ N. 0 means the transition is impossible (contributes no trees);
-    // only the stable translation (ToNftaStable) can express it — the
-    // minimal ToNfta rejects it, since dropping the transition is the
-    // minimal encoding.
+    // n ∈ N. 0 means the transition is impossible (contributes no trees):
+    // its slot's entry rule leads into the translation's dead sink.
     uint64_t multiplier = 1;
     // Comparator width in bits; >= GadgetDepth(max(multiplier, 1)). Widths
     // beyond the minimum pad with leading zeros (the comparator still
@@ -82,8 +82,8 @@ class MultiplierNfta {
   StateId AddState();
   void EnsureAlphabetSize(size_t size);
   void SetInitialState(StateId s);
-  /// multiplier 0 means the transition is impossible (stable translation
-  /// only; see Transition::multiplier). `width` is the comparator width in
+  /// multiplier 0 means the transition is impossible (see
+  /// Transition::multiplier). `width` is the comparator width in
   /// bits: 0 = use the minimal GadgetDepth(max(multiplier, 1)); otherwise
   /// must be >= that. A width of w adds exactly w unary nodes below the
   /// transition's node.
@@ -105,12 +105,9 @@ class MultiplierNfta {
 
   /// The translation of Section 5.1 to an ordinary NFTA over the alphabet
   /// Σ ∪ {0, 1} (see BitSymbol). Per Remark 2 this is polynomial in |T^c|;
-  /// the per-transition gadget adds O(log n) states. Rejects multiplier-0
-  /// transitions (their minimal encoding is absence; use ToNftaStable).
-  Result<Nfta> ToNfta() const;
-
-  /// Value-stable variant of ToNfta: every transition — multiplier 0
-  /// included — compiles to a fixed-shape slot (entry rule + width-k
+  /// the per-transition gadget adds O(width) states. It is value-stable:
+  /// every transition — multiplier 0 included — compiles to a fixed-shape
+  /// slot (entry rule + width-k
   /// comparator with a fixed per-level rule order, dead branches kept as
   /// rules into a shared sink) whose targets alone encode the multiplier.
   /// `*layout` records where each slot lives so PatchStableNftaSlot can

@@ -75,6 +75,40 @@ std::string DiagnosticsPrefix(const PqeAnswer& answer) {
   return "(unknown method)";
 }
 
+// The cold combined FPRAS (Theorem 1) of a kQuery or kRpq request, run from
+// scratch: the FprasStep EvaluateRequest uses when the caller gives none.
+Result<PqeAnswer> ColdFpras(const EvalRequest& request,
+                            const EstimatorConfig& config, size_t max_width) {
+  PqeAnswer out;
+  out.method_used = PqeMethod::kFpras;
+  if (request.target == EvalRequest::Target::kRpq ||
+      UsesStringRoute(*request.query)) {
+    // Path queries and RPQs stay in string automata end to end (Section 3 +
+    // string-side multiplier gadgets) — same guarantee, cheaper.
+    PQE_ASSIGN_OR_RETURN(
+        PathPqeResult r,
+        request.target == EvalRequest::Target::kRpq
+            ? rpq::RpqEstimate(*request.rpq, *request.pdb, config)
+            : PathPqeEstimate(*request.query, *request.pdb, config));
+    out.probability = r.probability;
+    out.count_stats = r.stats;
+    out.automaton = PqeAnswer::AutomatonStats{
+        r.nfa_states, r.nfa_transitions, r.word_length,
+        /*decomposition_width=*/0};
+    return out;
+  }
+  UrConstructionOptions ur_opts;
+  ur_opts.max_width = max_width;
+  PQE_ASSIGN_OR_RETURN(PqeEstimateResult r,
+                       PqeEstimate(*request.query, *request.pdb, config,
+                                   ur_opts));
+  out.probability = r.probability;
+  out.count_stats = r.stats;
+  out.automaton = PqeAnswer::AutomatonStats{
+      r.nfta_states, r.nfta_transitions, r.tree_size, r.decomposition_width};
+  return out;
+}
+
 }  // namespace
 
 std::string RenderDiagnostics(const PqeAnswer& answer) {
@@ -158,12 +192,8 @@ EstimatorConfig PqeEngine::MakeEstimatorConfig(const Options& options,
   return cfg;
 }
 
-EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
-  const auto start = std::chrono::steady_clock::now();
-  EvalResponse resp;
-  resp.request_id = request.request_id;
-
-  // Per-request overrides over the engine's options.
+PqeEngine::Options PqeEngine::EffectiveOptions(
+    const EvalRequest& request) const {
   Options opts = options_;
   if (request.method.has_value()) opts.method = *request.method;
   if (request.epsilon.has_value()) opts.epsilon = *request.epsilon;
@@ -172,6 +202,18 @@ EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
     opts.collect_trace = *request.collect_trace;
   }
   if (request.kernels.has_value()) opts.kernel_mode = *request.kernels;
+  return opts;
+}
+
+EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request,
+                                        const FprasStep& fpras_step) const {
+  const auto start = std::chrono::steady_clock::now();
+  EvalResponse resp;
+  resp.request_id = request.request_id;
+
+  const Options opts = EffectiveOptions(request);
+  static const FprasStep kColdFpras = ColdFpras;
+  const FprasStep& fpras = fpras_step ? fpras_step : kColdFpras;
   obs::MetricRegistry::Global()
       .GetCounter(std::string("pqe.engine.kernel_mode.") +
                   KernelModeToString(opts.kernel_mode))
@@ -221,8 +263,7 @@ EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
         return FinishWith(Status::InvalidArgument(
             "EvalRequest(kQuery) requires query and pdb"));
       }
-      return FinishWith(EvaluateQueryImpl(*request.query, *request.pdb, opts,
-                                          cancel, request.request_id));
+      return FinishWith(EvaluateQueryImpl(request, opts, cancel, fpras));
     case EvalRequest::Target::kUnion:
       if (request.union_query == nullptr || request.pdb == nullptr) {
         return FinishWith(Status::InvalidArgument(
@@ -242,16 +283,16 @@ EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
         return FinishWith(Status::InvalidArgument(
             "EvalRequest(kRpq) requires rpq and pdb"));
       }
-      return FinishWith(EvaluateRpqImpl(*request.rpq, *request.pdb, opts,
-                                        cancel, request.request_id));
+      return FinishWith(EvaluateRpqImpl(request, opts, cancel, fpras));
   }
   return FinishWith(Status::Internal("unknown EvalRequest target"));
 }
 
 Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
-    const ConjunctiveQuery& query, const ProbabilisticDatabase& pdb,
-    const Options& opts, const CancelToken* cancel,
-    uint64_t request_id) const {
+    const EvalRequest& request, const Options& opts,
+    const CancelToken* cancel, const FprasStep& fpras) const {
+  const ConjunctiveQuery& query = *request.query;
+  const ProbabilisticDatabase& pdb = *request.pdb;
   PqeMethod method = opts.method;
   if (method == PqeMethod::kAuto) {
     if (IsSafeQuery(query)) {
@@ -265,7 +306,7 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
   std::optional<obs::TraceSession> session;
   if (opts.collect_trace) {
     session.emplace("engine.evaluate");
-    obs::SpanAttrUint("request_id", request_id);
+    obs::SpanAttrUint("request_id", request.request_id);
     obs::SpanAttrText("method", PqeMethodToString(method));
     obs::SpanAttrText("kernels", KernelModeToString(opts.kernel_mode));
     obs::SpanAttrUint("facts", pdb.NumFacts());
@@ -293,30 +334,9 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
       break;
     }
     case PqeMethod::kFpras: {
-      if (query.IsPathQuery() && query.IsSelfJoinFree()) {
-        // Path queries stay in string automata end to end (Section 3 +
-        // string-side multiplier gadgets) — same guarantee, cheaper.
-        PQE_ASSIGN_OR_RETURN(
-            PathPqeResult r,
-            PathPqeEstimate(query, pdb, MakeEstimatorConfig(opts, cancel)));
-        out.probability = r.probability;
-        out.count_stats = r.stats;
-        out.automaton = PqeAnswer::AutomatonStats{
-            r.nfa_states, r.nfa_transitions, r.word_length,
-            /*decomposition_width=*/0};
-        break;
-      }
-      UrConstructionOptions ur_opts;
-      ur_opts.max_width = opts.max_width;
       PQE_ASSIGN_OR_RETURN(
-          PqeEstimateResult r,
-          PqeEstimate(query, pdb, MakeEstimatorConfig(opts, cancel),
-                      ur_opts));
-      out.probability = r.probability;
-      out.count_stats = r.stats;
-      out.automaton = PqeAnswer::AutomatonStats{
-          r.nfta_states, r.nfta_transitions, r.tree_size,
-          r.decomposition_width};
+          out,
+          fpras(request, MakeEstimatorConfig(opts, cancel), opts.max_width));
       break;
     }
     case PqeMethod::kKarpLubyLineage: {
@@ -432,9 +452,10 @@ Result<PqeAnswer> PqeEngine::EvaluateUnionImpl(
 }
 
 Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
-    const rpq::RpqQuery& query, const ProbabilisticDatabase& pdb,
-    const Options& opts, const CancelToken* cancel,
-    uint64_t request_id) const {
+    const EvalRequest& request, const Options& opts,
+    const CancelToken* cancel, const FprasStep& fpras) const {
+  const rpq::RpqQuery& query = *request.rpq;
+  const ProbabilisticDatabase& pdb = *request.pdb;
   PqeMethod method = opts.method;
   const bool was_auto = method == PqeMethod::kAuto;
   if (was_auto) {
@@ -451,7 +472,7 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
   std::optional<obs::TraceSession> session;
   if (opts.collect_trace) {
     session.emplace("engine.evaluate_rpq");
-    obs::SpanAttrUint("request_id", request_id);
+    obs::SpanAttrUint("request_id", request.request_id);
     obs::SpanAttrText("regex", query.Canonical());
     obs::SpanAttrText("kernels", KernelModeToString(opts.kernel_mode));
     obs::SpanAttrUint("facts", pdb.NumFacts());
@@ -485,14 +506,10 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
   }
 
   if (method == PqeMethod::kFpras) {
-    auto r = rpq::RpqEstimate(query, pdb, MakeEstimatorConfig(opts, cancel));
+    Result<PqeAnswer> r =
+        fpras(request, MakeEstimatorConfig(opts, cancel), opts.max_width);
     if (r.ok()) {
-      out.probability = r->probability;
-      out.method_used = PqeMethod::kFpras;
-      out.count_stats = r->stats;
-      out.automaton = PqeAnswer::AutomatonStats{
-          r->nfa_states, r->nfa_transitions, r->word_length,
-          /*decomposition_width=*/0};
+      out = std::move(*r);
       Finish(&out);
       return out;
     }

@@ -1,6 +1,7 @@
 #ifndef PQE_CORE_ENGINE_H_
 #define PQE_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -245,27 +246,43 @@ class PqeEngine {
 
   const Options& options() const { return options_; }
 
+  /// The combined-FPRAS step of a kQuery or kRpq request whose method
+  /// resolves to kFpras: it receives the request, the estimator config
+  /// (MakeEstimatorConfig of the effective options, deadline token
+  /// included) and the width budget, and returns the Theorem 1 answer. It
+  /// runs inside the request's trace session and envelope; a kNotSupported
+  /// result under kAuto still takes the RPQ lineage cascade.
+  using FprasStep = std::function<Result<PqeAnswer>(
+      const EvalRequest& request, const EstimatorConfig& config,
+      size_t max_width)>;
+
   /// The single evaluation entry point: dispatches on request.target,
   /// applies per-request overrides, enforces deadline_ms/cancel
   /// cooperatively, and never throws or hangs — errors (including
-  /// kDeadlineExceeded) come back in EvalResponse::status.
-  EvalResponse EvaluateRequest(const EvalRequest& request) const;
+  /// kDeadlineExceeded) come back in EvalResponse::status. `fpras_step`
+  /// replaces the cold combined-FPRAS pipeline when set; the serving layer
+  /// injects its prepared-query cache there.
+  EvalResponse EvaluateRequest(const EvalRequest& request,
+                               const FprasStep& fpras_step = {}) const;
+
+  /// The options EvaluateRequest runs `request` under: the engine's options
+  /// with the request's overrides (method, epsilon, seed, trace, kernels)
+  /// applied.
+  Options EffectiveOptions(const EvalRequest& request) const;
 
   /// The EstimatorConfig the engine hands to the counting layers for these
-  /// options (shared with src/serve/ so prepared evaluations and engine
-  /// evaluations are configured identically). `cancel` is threaded into the
-  /// config's cooperative-cancellation hook.
+  /// options. `cancel` is threaded into the config's cooperative-
+  /// cancellation hook.
   static EstimatorConfig MakeEstimatorConfig(const Options& options,
                                              const CancelToken* cancel);
 
  private:
-  // `request_id` is attached to the evaluation's trace session so batch
+  // The request's id is attached to the evaluation's trace session so batch
   // traces stay attributable per request.
-  Result<PqeAnswer> EvaluateQueryImpl(const ConjunctiveQuery& query,
-                                      const ProbabilisticDatabase& pdb,
+  Result<PqeAnswer> EvaluateQueryImpl(const EvalRequest& request,
                                       const Options& opts,
                                       const CancelToken* cancel,
-                                      uint64_t request_id) const;
+                                      const FprasStep& fpras) const;
   Result<PqeAnswer> EvaluateUnionImpl(const UnionQuery& query,
                                       const ProbabilisticDatabase& pdb,
                                       const Options& opts,
@@ -274,11 +291,10 @@ class PqeEngine {
   Result<PqeAnswer> EvaluateUrImpl(const ConjunctiveQuery& query,
                                    const Database& db, const Options& opts,
                                    const CancelToken* cancel) const;
-  Result<PqeAnswer> EvaluateRpqImpl(const rpq::RpqQuery& query,
-                                    const ProbabilisticDatabase& pdb,
+  Result<PqeAnswer> EvaluateRpqImpl(const EvalRequest& request,
                                     const Options& opts,
                                     const CancelToken* cancel,
-                                    uint64_t request_id) const;
+                                    const FprasStep& fpras) const;
 
   Options options_;
 };

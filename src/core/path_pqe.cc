@@ -1,11 +1,11 @@
 #include "core/path_pqe.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "automata/augmented_nfta.h"  // literal encoding helpers
 #include "automata/multiplier_nfa.h"
+#include "core/pqe.h"
 #include "core/projection.h"
 #include "counting/count_nfa.h"
 #include "counting/exact.h"
@@ -288,9 +288,8 @@ Result<PathPqeResult> EstimatePathSkeleton(const PathPqeSkeleton& skeleton,
                        CountNfaStrings(m.nfa, m.word_length, config));
   out.stats = count.stats;
   out.string_count = count.value;
-  const double log2_d = ExtFloat::FromBigUint(m.denominator).Log2();
-  out.log2_probability = count.value.Log2() - log2_d;
-  out.probability = std::min(std::exp2(out.log2_probability), 1.0);
+  out.probability =
+      ProbabilityFromCount(count.value, m.denominator, &out.log2_probability);
   return out;
 }
 
@@ -303,6 +302,10 @@ Result<BigRational> ExactPathSkeleton(const PathPqeSkeleton& skeleton,
   PQE_ASSIGN_OR_RETURN(BigUint count,
                        ExactCountNfaStrings(m.nfa, m.word_length));
   return BigRational(std::move(count), m.denominator);
+}
+
+bool UsesStringRoute(const ConjunctiveQuery& query) {
+  return query.IsPathQuery() && query.IsSelfJoinFree();
 }
 
 Result<PathPqeResult> PathPqeEstimate(const ConjunctiveQuery& query,

@@ -71,6 +71,11 @@ Result<PathPqeResult> PathPqeEstimate(const ConjunctiveQuery& query,
                                       const ProbabilisticDatabase& pdb,
                                       const EstimatorConfig& config);
 
+/// True when the combined FPRAS takes the string specialization for
+/// `query`: a self-join-free path query. Every other query takes the
+/// generic tree pipeline (core/pqe.h).
+bool UsesStringRoute(const ConjunctiveQuery& query);
+
 /// Exact companion for PathPqeEstimate (test oracle).
 Result<BigRational> PathPqeExact(const ConjunctiveQuery& query,
                                  const ProbabilisticDatabase& pdb);

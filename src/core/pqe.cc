@@ -215,14 +215,17 @@ Result<PqeEstimateResult> PqeEstimate(const ConjunctiveQuery& query,
   out.stats = count.stats;
   out.tree_count = count.value;
   // Pr_H(Q) = d⁻¹ · |L_k(T')|.
-  const double log2_d =
-      ExtFloat::FromBigUint(automaton.denominator).Log2();
-  out.log2_probability = count.value.Log2() - log2_d;
-  // Project into [0, 1]: the raw estimate can exceed 1 within its ε band,
-  // and projecting a probability onto the feasible set never increases the
-  // error. log2_probability stays unclamped for diagnostics.
-  out.probability = std::min(std::exp2(out.log2_probability), 1.0);
+  out.probability = ProbabilityFromCount(count.value, automaton.denominator,
+                                         &out.log2_probability);
   return out;
+}
+
+double ProbabilityFromCount(const ExtFloat& count, const BigUint& denominator,
+                            double* log2_probability) {
+  const double log2_p =
+      count.Log2() - ExtFloat::FromBigUint(denominator).Log2();
+  if (log2_probability != nullptr) *log2_probability = log2_p;
+  return std::min(std::exp2(log2_p), 1.0);
 }
 
 Result<BigRational> PqeExactViaAutomaton(const ConjunctiveQuery& query,

@@ -120,6 +120,15 @@ Result<PqeAutomaton> BuildPqeAutomaton(const ConjunctiveQuery& query,
                                        const ProbabilisticDatabase& pdb,
                                        const UrConstructionOptions& options);
 
+/// Pr_H(Q) = d⁻¹ · count for a count over a Theorem 1 automaton whose
+/// gadgets multiply to the denominator d, projected into [0, 1]: the raw
+/// estimate can exceed 1 within its ε band, and projecting a probability
+/// onto the feasible set never increases the error. Every FPRAS answer, cold
+/// or served, converts its count here. `log2_probability`, when non-null,
+/// receives the unclamped log2 of the ratio.
+double ProbabilityFromCount(const ExtFloat& count, const BigUint& denominator,
+                            double* log2_probability = nullptr);
+
 /// PQEEstimate (Theorem 1): (1±ε)-approximates Pr_H(Q) with high
 /// probability, in time poly(|Q|, |H|, 1/ε).
 struct PqeEstimateResult {

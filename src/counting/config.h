@@ -32,6 +32,17 @@ enum class KernelMode : uint8_t {
 const char* KernelModeToString(KernelMode mode);
 Result<KernelMode> KernelModeFromString(std::string_view name);
 
+/// Floor of the auto-sized per-stratum sample pool
+/// (EstimatorConfig::ResolvePoolSize).
+inline constexpr size_t kMinPoolSize = 48;
+
+/// Rejection-sampling attempt budget of one overlapping symbol group:
+/// kAttemptFactor attempts per pooled sample wanted, plus a small constant.
+inline constexpr size_t kAttemptFactor = 24;
+inline constexpr size_t MaxRejectionAttempts(size_t pool_target) {
+  return kAttemptFactor * pool_target + 64;
+}
+
 /// Tuning knobs for the CountNFA / CountNFTA estimators.
 ///
 /// The implementations follow the Arenas–Croquevielle–Jayaram–Riveros
@@ -45,19 +56,13 @@ Result<KernelMode> KernelModeFromString(std::string_view name);
 struct EstimatorConfig {
   /// Target relative error ε ∈ (0, 1).
   double epsilon = 0.2;
-  /// Informational confidence level (1 − δ); used by the auto-sizing rule.
-  double confidence = 0.9;
   /// RNG seed; all randomness derives from it (runs are reproducible).
   uint64_t seed = 0x5eed;
   /// Per-stratum sample pool size. 0 = auto: ~8·n/ε², clamped to
-  /// [min_pool_size, max_pool_size].
+  /// [kMinPoolSize, max_pool_size].
   size_t pool_size = 0;
-  size_t min_pool_size = 48;
   /// Practical cap on the auto-sized pool (0 = uncapped "theory mode").
   size_t max_pool_size = 768;
-  /// Rejection-sampling attempt budget: attempts <= attempt_factor * pool
-  /// target (+ a small constant).
-  size_t attempt_factor = 24;
   /// Median-of-R amplification: the counter runs `repetitions` independent
   /// estimates (seeds derived from `seed`) and returns the median — the
   /// standard FPRAS confidence boost. 1 = single run.

@@ -449,7 +449,7 @@ class NfaCounter {
             est_[At(l - 1, trans[members_[m].transition].from)]);
       }
       drawer_.Prepare(DrawMode(), draw_weights_, &stats_);
-      const size_t max_attempts = config_.attempt_factor * pool_target_ + 64;
+      const size_t max_attempts = MaxRejectionAttempts(pool_target_);
       const size_t acc_begin = accepted_.size();
       auto hits = [&] { return accepted_.size() - acc_begin; };
       size_t attempts = 0;
@@ -596,7 +596,7 @@ class NfaCounter {
       return CountEstimate{total, stats_};
     }
     const size_t target = pool_target_;
-    const size_t max_attempts = config_.attempt_factor * target + 64;
+    const size_t max_attempts = MaxRejectionAttempts(target);
     size_t attempts = 0;
     size_t accepted = 0;
     drawer_.Prepare(DrawMode(), weights, &stats_);

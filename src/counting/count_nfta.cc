@@ -629,7 +629,7 @@ class NftaCounter {
       }
       drawer_.Prepare(DrawMode(), draw_weights_, &stats_);
       const size_t target = pool_target_;
-      const size_t max_attempts = config_.attempt_factor * target + 64;
+      const size_t max_attempts = MaxRejectionAttempts(target);
       const size_t acc_begin = accepted_.size();
       auto hits = [&] { return accepted_.size() - acc_begin; };
       size_t attempts = 0;

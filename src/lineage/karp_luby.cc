@@ -71,7 +71,7 @@ Result<KarpLubyResult> KarpLubyEstimate(const DnfLineage& lineage,
     samples = static_cast<size_t>(
         std::ceil(8.0 * static_cast<double>(lineage.NumClauses()) /
                   (eps * eps)));
-    samples = std::max(samples, config.min_samples);
+    samples = std::max(samples, kKarpLubyMinSamples);
     if (config.max_samples > 0) samples = std::min(samples,
                                                    config.max_samples);
   }

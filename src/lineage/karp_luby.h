@@ -12,14 +12,16 @@
 
 namespace pqe {
 
+/// Floor of the auto-sized Karp–Luby sample count.
+inline constexpr size_t kKarpLubyMinSamples = 256;
+
 /// Tuning for the Karp–Luby DNF probability estimator.
 struct KarpLubyConfig {
   double epsilon = 0.2;
-  double confidence = 0.9;
   uint64_t seed = 0x5eed;
-  /// 0 = auto: ceil(8 · m / ε²) coverage samples for m clauses, clamped.
+  /// 0 = auto: ceil(8 · m / ε²) coverage samples for m clauses, clamped to
+  /// [kKarpLubyMinSamples, max_samples].
   size_t num_samples = 0;
-  size_t min_samples = 256;
   size_t max_samples = 0;  // 0 = uncapped
   /// Worker threads for the sample loop. 0 = auto: $PQE_THREADS when set,
   /// else 1 (serial). The estimate is bit-identical for every value.

@@ -1,8 +1,6 @@
 #include "serve/prepared_query.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -13,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rpq/eval.h"
-#include "util/extfloat.h"
 
 namespace pqe {
 namespace serve {
@@ -52,12 +49,9 @@ uint64_t HashEstimatorConfig(const EstimatorConfig& config) {
     mix(bits);
   };
   mix_double(config.epsilon);
-  mix_double(config.confidence);
   mix(config.seed);
   mix(config.pool_size);
-  mix(config.min_pool_size);
   mix(config.max_pool_size);
-  mix(config.attempt_factor);
   mix(config.repetitions);
   mix(config.disable_backward_pruning ? 1 : 0);
   mix(config.disable_hotpath_caches ? 1 : 0);
@@ -76,12 +70,10 @@ Result<std::shared_ptr<const PreparedQuery>> PreparedQuery::Prepare(
     const UrConstructionOptions& options, size_t bind_cache_capacity) {
   PQE_TRACE_SPAN_VAR(span, "serve.prepare");
   span.AttrUint("facts", db.NumFacts());
-  // Route exactly as PqeEngine's kFpras branch does, so prepared answers
-  // match cold engine answers bit for bit.
   auto prepared = std::shared_ptr<PreparedQuery>(new PreparedQuery());
   prepared->bind_cache_capacity_ =
       bind_cache_capacity < 1 ? 1 : bind_cache_capacity;
-  if (query.IsPathQuery() && query.IsSelfJoinFree()) {
+  if (UsesStringRoute(query)) {
     PQE_ASSIGN_OR_RETURN(PathPqeSkeleton s, BuildPathPqeSkeleton(query, db));
     prepared->path_.emplace(std::move(s));
   } else {
@@ -333,12 +325,7 @@ Result<PqeAnswer> PreparedQuery::EvaluateFpras(
       obs::MetricRegistry::Global()
           .GetCounter("serve.answer_memo_hits")
           .Increment();
-      if (breakdown != nullptr) {
-        breakdown->answer_memo_hit = true;
-        if (it->second.count_stats.has_value()) {
-          breakdown->samples = it->second.count_stats->attempts;
-        }
-      }
+      if (breakdown != nullptr) breakdown->answer_memo_hit = true;
       return it->second;
     }
   }
@@ -346,13 +333,13 @@ Result<PqeAnswer> PreparedQuery::EvaluateFpras(
   PqeAnswer out;
   out.method_used = PqeMethod::kFpras;
   CountEstimate count;
-  double log2_d = 0.0;
+  const BigUint* denominator = nullptr;
   const auto estimate_start = std::chrono::steady_clock::now();
   if (bound->path.has_value()) {
     const BoundPathNfa& m = *bound->path;
     PQE_ASSIGN_OR_RETURN(count,
                          CountNfaStrings(m.nfa, m.word_length, config));
-    log2_d = ExtFloat::FromBigUint(m.denominator).Log2();
+    denominator = &m.denominator;
     out.automaton = PqeAnswer::AutomatonStats{
         m.nfa.NumStates(), m.nfa.NumTransitions(), m.word_length,
         /*decomposition_width=*/0};
@@ -360,7 +347,7 @@ Result<PqeAnswer> PreparedQuery::EvaluateFpras(
     const BoundPqeAutomaton& m = *bound->tree;
     PQE_ASSIGN_OR_RETURN(count,
                          CountNftaTrees(m.weighted, m.tree_size, config));
-    log2_d = ExtFloat::FromBigUint(m.denominator).Log2();
+    denominator = &m.denominator;
     out.automaton = PqeAnswer::AutomatonStats{
         m.weighted.NumStates(), m.weighted.NumTransitions(), m.tree_size,
         decomposition_width_};
@@ -370,12 +357,9 @@ Result<PqeAnswer> PreparedQuery::EvaluateFpras(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - estimate_start)
             .count());
-    breakdown->samples = count.stats.attempts;
   }
   out.count_stats = count.stats;
-  // Pr_H(Q) = d⁻¹ · |L_k|, projected into [0, 1] — the same arithmetic as
-  // PqeEstimate / PathPqeEstimate, so answers stay bit-identical.
-  out.probability = std::min(std::exp2(count.value.Log2() - log2_d), 1.0);
+  out.probability = ProbabilityFromCount(count.value, *denominator);
   {
     // Only completed runs reach this point (aborted ones returned above via
     // PQE_ASSIGN_OR_RETURN), so the memo never holds partial answers.

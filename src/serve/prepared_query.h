@@ -52,12 +52,13 @@ struct LabelDelta {
 /// target-keyed index is rebuilt. Denominator changes fall back to a full
 /// rebind transparently.
 ///
-/// Route selection mirrors PqeEngine's kFpras branch exactly: self-join-free
-/// path queries stay in string automata (Section 3 + string gadgets),
-/// everything else takes the generic tree pipeline. EvaluateFpras assembles
-/// the same PqeAnswer the engine's cold path produces, bit for bit — the
-/// skeleton/bind composition is the cold path (see core/pqe.cc), and the
-/// counting layer is seeded identically.
+/// Route selection is the engine's own (UsesStringRoute, core/path_pqe.h):
+/// self-join-free path queries stay in string automata (Section 3 + string
+/// gadgets), everything else takes the generic tree pipeline. EvaluateFpras
+/// assembles the same PqeAnswer the engine's cold path produces, bit for
+/// bit — the skeleton/bind composition is the cold path (see core/pqe.cc),
+/// the counting layer is seeded identically, and both convert the count
+/// through ProbabilityFromCount.
 ///
 /// Thread-safe after construction: concurrent EvaluateFpras calls share
 /// bound automata behind a mutex-guarded LRU with per-slot once-flags
@@ -85,7 +86,7 @@ class PreparedQuery {
   /// result is a PathPqeSkeleton either way, so binds, delta rebinds, the
   /// bind LRU, and the answer memo all work unchanged. Fails like the
   /// engine's kFpras RPQ route would (NotSupported when the instance is not
-  /// scan-orderable — the service falls back to the engine's lineage
+  /// scan-orderable — under kAuto the engine then takes its lineage
   /// cascade).
   static Result<std::shared_ptr<const PreparedQuery>> PrepareRpq(
       const rpq::RpqQuery& query, const Database& db,
@@ -112,7 +113,6 @@ class PreparedQuery {
     bool bind_reused = false;      // a cached bind served this call
     bool bind_delta = false;       // this call's bind was a delta patch
     bool answer_memo_hit = false;  // the answer memo served this call
-    uint64_t samples = 0;  // rejection-sampling attempts of the answer
   };
 
   /// Evaluates Pr_H(Q) over `pdb` with the combined FPRAS, rebinding the

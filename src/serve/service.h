@@ -15,10 +15,13 @@
 namespace pqe {
 namespace serve {
 
-/// The prepared-query serving facade: accepts EvalRequest batches, serves
-/// kFpras-routed conjunctive queries through the PreparedCache (compile
-/// once, rebind per labelling), and delegates every other target/method to
-/// an embedded PqeEngine. Responses never come back as exceptions or hangs:
+/// The prepared-query serving facade: accepts EvalRequest batches and runs
+/// each through PqeEngine::EvaluateRequest — the one request envelope
+/// (overrides, kAuto method choice, deadlines, status, trace, engine
+/// counters) — with the PreparedCache injected as the engine's combined-
+/// FPRAS step (compile once, rebind per labelling). The service itself
+/// adds only that caching, per-request telemetry, workload capture and
+/// label updates. Responses never come back as exceptions or hangs:
 /// per-request deadlines (EvalRequest::deadline_ms) are enforced
 /// cooperatively inside the sampling loops, and an expired request returns
 /// a kDeadlineExceeded status with its partial progress.
@@ -114,21 +117,20 @@ class PqeService {
   EvalResponse EvaluateOne(const EvalRequest& request, uint64_t effective_id,
                            size_t inner_threads_override) const;
 
-  /// The prepared fast path; only called for kQuery requests whose method
-  /// resolves to kFpras. Mirrors PqeEngine::EvaluateRequest's envelope
-  /// (deadline token, status mapping, elapsed/progress accounting).
-  /// Fills `telemetry`'s stage timings and cache class as it goes.
-  EvalResponse EvaluatePrepared(const EvalRequest& request,
-                                uint64_t effective_id,
-                                const PqeEngine::Options& opts,
-                                RequestTelemetry* telemetry) const;
+  /// The engine's combined-FPRAS step for kQuery/kRpq requests: the
+  /// PreparedCache lookup plus PreparedQuery::EvaluateFpras. Fills
+  /// `telemetry`'s stage timings, and its cache class once the lookup
+  /// succeeds.
+  Result<PqeAnswer> EvaluateCached(const EvalRequest& request,
+                                   const EstimatorConfig& config,
+                                   size_t max_width,
+                                   RequestTelemetry* telemetry) const;
 
   void CaptureRequest(const EvalRequest& request, uint64_t effective_id,
                       const PqeEngine::Options& opts,
                       const EvalResponse& resp) const;
 
   Options options_;
-  PqeEngine engine_;
   std::unique_ptr<PreparedCache> cache_;
   mutable ServiceTelemetry telemetry_;
   std::unique_ptr<WorkloadRecorder> recorder_;

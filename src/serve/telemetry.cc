@@ -84,7 +84,9 @@ std::string ServiceStats::ToJson() const {
 ServiceTelemetry::ServiceTelemetry(size_t slow_log_capacity)
     : slow_capacity_(slow_log_capacity) {}
 
-void ServiceTelemetry::Record(RequestTelemetry t) {
+void ServiceTelemetry::Record(
+    RequestTelemetry t,
+    const std::function<std::string(const RequestTelemetry&)>& excerpt) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (t.status == StatusCode::kOk) {
     ok_.fetch_add(1, std::memory_order_relaxed);
@@ -109,6 +111,7 @@ void ServiceTelemetry::Record(RequestTelemetry t) {
   // Fast path: a full log whose slowest floor beats this request means the
   // request can't enter — no lock taken.
   if (t.total_ns <= slow_floor_.load(std::memory_order_relaxed)) return;
+  if (excerpt) t.span_excerpt = excerpt(t);
   std::lock_guard<std::mutex> lock(slow_mu_);
   if (slow_.size() >= slow_capacity_ && t.total_ns <= slow_.back().total_ns) {
     return;  // the floor moved while we waited for the lock

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -110,7 +111,12 @@ class ServiceTelemetry {
   ServiceTelemetry(const ServiceTelemetry&) = delete;
   ServiceTelemetry& operator=(const ServiceTelemetry&) = delete;
 
-  void Record(RequestTelemetry t);
+  /// Aggregates one request. `excerpt`, when set, formats the request's
+  /// slow-log line (RequestTelemetry::span_excerpt); it runs only for a
+  /// request that passes the slow log's admission floor.
+  void Record(RequestTelemetry t,
+              const std::function<std::string(const RequestTelemetry&)>&
+                  excerpt = nullptr);
   ServiceStats Snapshot() const;
 
   /// Zeroes every aggregate: counts, stage histograms, and the slow-query

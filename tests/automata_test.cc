@@ -250,7 +250,8 @@ TEST(MultiplierNftaTest, GadgetMultipliesExactly) {
     m.SetInitialState(s);
     m.EnsureAlphabetSize(1);
     ASSERT_TRUE(m.AddTransition(s, 0, n, {}).ok());
-    auto nfta = m.ToNfta();
+    StableNftaLayout layout;
+    auto nfta = m.ToNftaStable(&layout);
     ASSERT_TRUE(nfta.ok());
     const size_t size = 1 + MultiplierNfta::GadgetDepth(n);
     auto count = ExactCountNftaTrees(*nfta, size);
@@ -267,7 +268,8 @@ TEST(MultiplierNftaTest, PaddedWidthKeepsCount) {
     m.EnsureAlphabetSize(1);
     const uint64_t width = 6;  // padded well beyond the minimum
     ASSERT_TRUE(m.AddTransition(s, 0, n, {}, width).ok());
-    auto nfta = m.ToNfta();
+    StableNftaLayout layout;
+    auto nfta = m.ToNftaStable(&layout);
     ASSERT_TRUE(nfta.ok());
     auto count = ExactCountNftaTrees(*nfta, 1 + width);
     ASSERT_TRUE(count.ok());
@@ -292,11 +294,8 @@ TEST(MultiplierNftaTest, RejectsBadArguments) {
   m.SetInitialState(s);
   EXPECT_FALSE(m.AddTransition(s, 0, 8, {}, 2).ok());      // width too small
   EXPECT_FALSE(m.AddTransition(s + 7, 0, 1, {}).ok());     // unknown state
-  // Multiplier 0 (an impossible transition) is representable, but only by
-  // the stable translation — the minimal ToNfta rejects it, since dropping
-  // the transition is its minimal encoding.
+  // Multiplier 0 (an impossible transition) is representable.
   EXPECT_TRUE(m.AddTransition(s, 0, 0, {}).ok());
-  EXPECT_FALSE(m.ToNfta().ok());
   StableNftaLayout layout;
   EXPECT_TRUE(m.ToNftaStable(&layout).ok());
 }
@@ -310,7 +309,8 @@ TEST(MultiplierNftaTest, ComposesThroughChildren) {
   m.EnsureAlphabetSize(2);
   ASSERT_TRUE(m.AddTransition(root, 0, 3, {leaf}).ok());
   ASSERT_TRUE(m.AddTransition(leaf, 1, 2, {}).ok());
-  auto nfta = m.ToNfta();
+  StableNftaLayout layout;
+  auto nfta = m.ToNftaStable(&layout);
   ASSERT_TRUE(nfta.ok());
   const size_t size = 2 + MultiplierNfta::GadgetDepth(3) +
                       MultiplierNfta::GadgetDepth(2);

@@ -17,6 +17,7 @@
 #include "rpq/product.h"
 #include "rpq/regex.h"
 #include "serve/service.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace pqe {
@@ -455,8 +456,9 @@ TEST(RpqServeTest, PreparedAnswersAreBitIdenticalToEngine) {
 }
 
 TEST(RpqServeTest, AutoFallsBackToLineageWhenNotScanOrderable) {
-  // Cyclic instance + kAuto: the prepared route reports NotSupported and
-  // the service delegates to the engine cascade, which resolves exactly.
+  // Cyclic instance + kAuto: the prepared compile reports NotSupported and
+  // the engine's kAuto cascade resolves the request through lineage, so the
+  // service counts it as delegated work.
   Schema schema;
   ASSERT_TRUE(schema.AddRelation("a", 2).ok());
   Database db(schema);
@@ -486,6 +488,19 @@ TEST(RpqServeTest, AutoFallsBackToLineageWhenNotScanOrderable) {
   auto truth = rpq::ExactRpqProbabilityByEnumeration(q, pdb);
   ASSERT_TRUE(truth.ok());
   EXPECT_NEAR(resp[0].answer.probability, truth->ToDouble(), 1e-12);
+
+  const serve::ServiceStats stats = service.StatsSnapshot();
+  EXPECT_EQ(stats.by_class[static_cast<size_t>(serve::CacheClass::kDelegated)],
+            1u);
+  // The cold engine, at the seed the service derived for id 1, returns the
+  // same bits.
+  EvalRequest cold = r;
+  cold.seed = Rng::DeriveSeed(opts->seed, r.request_id);
+  const EvalResponse direct = PqeEngine(*opts).EvaluateRequest(cold);
+  ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
+  EXPECT_EQ(std::memcmp(&resp[0].answer.probability,
+                        &direct.answer.probability, sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "core/engine.h"
 #include "cq/builders.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/prepared_cache.h"
 #include "serve/prepared_query.h"
@@ -454,9 +455,10 @@ TEST(ServeTest, StatsSnapshotClassifiesCacheEffectiveness) {
 }
 
 TEST(ServeTest, BatchTracesCarryRequestId) {
-  // Satellite contract: every per-request trace names its request, so batch
-  // traces stay attributable. Covers both the prepared route
-  // ("serve.request" root) and the delegated route ("engine.evaluate").
+  // Every per-request trace names its request, so batch traces stay
+  // attributable. Both routes run under the engine's "engine.evaluate"
+  // root; only the prepared route's trace holds the cache's
+  // "serve.evaluate_prepared" span.
   if (!obs::TracingCompiledIn()) GTEST_SKIP() << "tracing compiled out";
   PathFixture fx = MakePathFixture(100);
   serve::PqeService::Options sopt;
@@ -483,8 +485,41 @@ TEST(ServeTest, BatchTracesCarryRequestId) {
     ASSERT_NE(attr, nullptr) << "trace root missing request_id";
     EXPECT_EQ(attr->u, 11u + i);
   }
-  EXPECT_EQ(resp[0].answer.trace->root.name, "serve.request");
+  EXPECT_EQ(resp[0].answer.trace->root.name, "engine.evaluate");
+  EXPECT_NE(resp[0].answer.trace->root.Find("serve.evaluate_prepared"),
+            nullptr);
   EXPECT_EQ(resp[1].answer.trace->root.name, "engine.evaluate");
+  EXPECT_EQ(resp[1].answer.trace->root.Find("serve.evaluate_prepared"),
+            nullptr);
+}
+
+TEST(ServeTest, ServedFprasRequestCountsEngineMetricsOnce) {
+  // A served FPRAS request runs inside the engine's request envelope, so the
+  // engine counts it exactly like a cold one: one evaluation under its
+  // resolved method, one under its kernel tier.
+  PathFixture fx = MakePathFixture(100);
+  serve::PqeService::Options sopt;
+  sopt.engine = ServeOptions();
+  sopt.num_threads = 1;
+  serve::PqeService service(sopt);
+  auto& registry = obs::MetricRegistry::Global();
+  obs::Counter& fpras = registry.GetCounter("pqe.engine.evaluations.fpras");
+  obs::Counter& fast = registry.GetCounter("pqe.engine.kernel_mode.fast");
+  const uint64_t fpras_before = fpras.Value();
+  const uint64_t fast_before = fast.Value();
+
+  EvalRequest req = EvalRequest::ForQuery(fx.qi.query, fx.pdb);
+  req.request_id = 21;
+  req.kernels = KernelMode::kFast;
+  const EvalResponse resp = service.Evaluate(req);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.answer.method_used, PqeMethod::kFpras);
+  const serve::ServiceStats stats = service.StatsSnapshot();
+  EXPECT_EQ(
+      stats.by_class[static_cast<size_t>(serve::CacheClass::kColdCompile)],
+      1u);
+  EXPECT_EQ(fpras.Value() - fpras_before, 1u);
+  EXPECT_EQ(fast.Value() - fast_before, 1u);
 }
 
 // --- Batch API ------------------------------------------------------------
