@@ -9,10 +9,17 @@
 //
 // Each sweep cell is recorded as gauges
 // pqe.bench.counting_hotpath.<sweep>.<point>.{legacy_ms,cached_ms,fast_ms,
-// speedup,fast_speedup}, plus memo hit/miss, picker-build, alias-build and
-// batch-draw counts from the cached/fast runs' stats. fast_speedup is the
-// batched alias-table kernels (kernel_mode=fast) against the cached exact
-// tier.
+// speedup,fast_speedup}, plus memo hit/miss, runstates_steps (run-state
+// sets the interned membership kernel computed), picker-build, alias-build
+// and batch-draw counts from the cached/fast runs' stats. fast_speedup is
+// the batched alias-table kernels (kernel_mode=fast) against the cached
+// exact tier. cached_ms and fast_ms are the best of five runs (legacy_ms
+// is one run). The host is recorded too: a "host" object (threads,
+// compiler, flags, tracing and the obs::CalibrationMops speed score) heads
+// the metrics JSON, and each E4/E8 cell's cached and fast wall times are
+// also recorded normalized by that score as {cached,fast}_msteps — the
+// millions of calibration steps the host runs in that time — which
+// bench_compare gates as absolute latencies.
 // The two modes are draw-identical by construction, so every cell also
 // cross-checks that the cached estimate equals the legacy one bit for bit;
 // the largest oracle-feasible E4 cell (width 3 — the exact subset DP blows
@@ -36,11 +43,13 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "core/path_pqe.h"
 #include "core/pqe.h"
 #include "cq/builders.h"
 #include "obs/export.h"
+#include "obs/host.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "workload/generators.h"
@@ -53,6 +62,12 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
+
+// The host's obs::CalibrationMops score, measured once before the sweeps.
+double g_calibration_mops = 0.0;
+
+// A wall time in millions of calibration steps on this host.
+double Msteps(double ms) { return ms * g_calibration_mops / 1e3; }
 
 struct CellResult {
   double legacy_ms = 0.0;
@@ -82,11 +97,16 @@ void RecordCell(const std::string& cell, const CellResult& r,
       .Set(static_cast<double>(cached_stats.runstates_memo_hits));
   reg.GetGauge(prefix + ".memo_misses")
       .Set(static_cast<double>(cached_stats.runstates_memo_misses));
+  reg.GetGauge(prefix + ".runstates_steps")
+      .Set(static_cast<double>(cached_stats.runstates_steps));
+  reg.GetGauge(prefix + ".cached_msteps").Set(Msteps(r.cached_ms));
+  reg.GetGauge(prefix + ".fast_msteps").Set(Msteps(r.fast_ms));
 }
 
-// Runs the estimate three times — legacy hot path, cached, then the batched
-// fast kernels — and checks the bit-identical-draws contract between the two
-// exact-tier runs before reporting timings.
+// Runs the estimate in three modes — legacy hot path once, then cached and
+// the batched fast kernels best of five each — and checks the
+// bit-identical-draws contract between the two exact-tier runs before
+// reporting timings.
 CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
                        const ProbabilisticDatabase& pdb,
                        const EstimatorConfig& base_cfg) {
@@ -99,10 +119,22 @@ CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
   auto legacy = PqeEstimate(query, pdb, cfg).MoveValue();
   out.legacy_ms = MillisSince(t0);
 
+  // Best-of-5 wall time of one estimate under `cfg` (a cell can be a few
+  // milliseconds, and host noise only ever adds time); every run draws the
+  // same stream, so *result is the same whichever run wrote it last.
+  auto BestOf5 = [&](PqeEstimateResult* result) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 5; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      *result = PqeEstimate(query, pdb, cfg).MoveValue();
+      best = std::min(best, MillisSince(start));
+    }
+    return best;
+  };
+
   cfg.disable_hotpath_caches = false;
-  t0 = std::chrono::steady_clock::now();
-  auto cached = PqeEstimate(query, pdb, cfg).MoveValue();
-  out.cached_ms = MillisSince(t0);
+  PqeEstimateResult cached;
+  out.cached_ms = BestOf5(&cached);
 
   // The cached path consumes the same RNG stream and answers the same
   // membership queries as the legacy path, so the estimates must agree
@@ -114,20 +146,20 @@ CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
   // Fast tier: different draw stream (alias tables over block RNG words), so
   // only statistical agreement is expected; the oracle cell gates accuracy.
   cfg.kernel_mode = KernelMode::kFast;
-  t0 = std::chrono::steady_clock::now();
-  auto fast = PqeEstimate(query, pdb, cfg).MoveValue();
-  out.fast_ms = MillisSince(t0);
+  PqeEstimateResult fast;
+  out.fast_ms = BestOf5(&fast);
   out.fast_log2_probability = fast.log2_probability;
   PQE_CHECK(std::isfinite(fast.log2_probability) ||
             fast.log2_probability == -std::numeric_limits<double>::infinity());
 
   RecordCell(cell, out, cached.stats, fast.stats);
   std::printf("  %-10s %-12.1f %-12.1f %-12.1f %-8.2f %-8.2f %-12.4f "
-              "hits=%zu misses=%zu batches=%zu\n",
+              "hits=%zu misses=%zu steps=%zu batches=%zu\n",
               cell.c_str(), out.legacy_ms, out.cached_ms, out.fast_ms,
               out.legacy_ms / out.cached_ms, out.cached_ms / out.fast_ms,
               out.log2_probability, cached.stats.runstates_memo_hits,
-              cached.stats.runstates_memo_misses, fast.stats.batch_draws);
+              cached.stats.runstates_memo_misses,
+              cached.stats.runstates_steps, fast.stats.batch_draws);
   return out;
 }
 
@@ -308,6 +340,42 @@ void SweepPathRoute(uint32_t max_len) {
   std::printf("\n");
 }
 
+// The "host" object that heads the metrics JSON: what built and ran the
+// sweeps, and the speed score the *_msteps gauges are normalized by.
+std::string HostJson() {
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Key("threads")
+      .Uint(1)
+      .Key("hardware_threads")
+      .Uint(std::thread::hardware_concurrency())
+      .Key("compiler")
+      .String(PQE_BENCH_COMPILER)
+      .Key("build_flags")
+      .String(PQE_BENCH_FLAGS)
+      .Key("pqe_enable_tracing")
+      .Bool(PQE_ENABLE_TRACING != 0)
+      .Key("calibration_mops")
+      .Double(g_calibration_mops)
+      .EndObject();
+  return w.Take();
+}
+
+Status WriteMetricsWithHost(const std::string& path) {
+  // MetricsToJson renders {"metrics": ...}; the host object goes first.
+  const std::string metrics =
+      obs::MetricsToJson(obs::MetricRegistry::Global().Snapshot());
+  const std::string doc = "{\"host\": " + HostJson() + ", " + metrics.substr(1);
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return Status::InvalidArgument("cannot open " + path);
+  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
+                  std::fputc('\n', f) != EOF;
+  if (std::fclose(f) != 0 || !ok) {
+    return Status::Internal("short write to " + path);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 }  // namespace pqe
 
@@ -324,6 +392,11 @@ int main(int argc, char** argv) {
       "==============================================================\n\n"
       "%s",
       smoke ? "smoke mode: two smallest cells per sweep\n\n" : "\n");
+  g_calibration_mops = obs::CalibrationMops();
+  obs::MetricRegistry::Global()
+      .GetGauge("pqe.bench.counting_hotpath.calibration_mops")
+      .Set(g_calibration_mops);
+  std::printf("host calibration: %.1f Msteps/s\n\n", g_calibration_mops);
   // Smoke keeps the full run's per-stratum pool (96) for the E4 sweep: the
   // width-3 oracle cell gates accuracy against the exact answer, and below
   // ~64 pool entries the estimator does not concentrate inside the ε band
@@ -335,7 +408,7 @@ int main(int argc, char** argv) {
   std::printf("determinism: every cell's cached estimate matched the legacy "
               "estimate bit for bit\n");
   if (!metrics_out.empty()) {
-    Status status = obs::WriteMetricsJsonFile(metrics_out);
+    Status status = WriteMetricsWithHost(metrics_out);
     if (!status.ok()) {
       std::fprintf(stderr, "--metrics_out: %s\n", status.ToString().c_str());
       return 1;

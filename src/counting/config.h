@@ -135,7 +135,9 @@ struct CountStats {
   size_t batch_draws = 0;       // block-RNG batches drawn (fast kernels)
   size_t runstates_memo_hits = 0;    // membership answered from the memo
   size_t runstates_memo_misses = 0;  // membership computed and memoized
-  size_t runstates_steps = 0;  // subset simulations run (CountNFA DFA misses)
+  size_t runstates_steps = 0;  // run-state sets computed: distinct lazy-DFA
+                               // steps (CountNFA), distinct (symbol, child
+                               // tuple) keys (CountNFTA)
 
   /// Visits (name, value) for every field, in declaration order.
   template <typename Fn>

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "counting/flat_bitset.h"
+#include "counting/subset_intern.h"
 #include "counting/weighted_pick.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -34,22 +35,6 @@ struct SampleRef {
   uint32_t prefix = 0;      // index into the pool of stratum (l-1, from)
 };
 
-// A run [off, off + len) of one of the counter's arenas.
-struct Slot {
-  uint32_t off = 0;
-  uint32_t len = 0;
-};
-
-// Fibonacci hashing: the top (64 - shift) bits of key · 2^64/φ, the home
-// bucket of `key` in a power-of-two open-addressing table.
-inline size_t HashBucket(uint64_t key, unsigned shift) {
-  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
-}
-
-// Buckets a lazy-DFA table starts with (a power of two); tables double at
-// half load.
-constexpr unsigned kTableLog2 = 8;
-
 class NfaCounter {
  public:
   NfaCounter(const Nfa& nfa, size_t n, const EstimatorConfig& config)
@@ -72,7 +57,7 @@ class NfaCounter {
     ComputeFeasibility();
 
     est_.assign((n_ + 1) * num_states_, ExtFloat());
-    pool_.assign((n_ + 1) * num_states_, Slot{});
+    pool_.assign((n_ + 1) * num_states_, ArenaRun{});
     // A pool holds at most pool_target_ samples (level 0: one), so this
     // bound — what per-stratum vectors would reserve in total — spares the
     // arenas every grow-and-copy.
@@ -83,20 +68,16 @@ class NfaCounter {
       // Subset id 0 is the "not computed" sentinel of reach_; the run-state
       // set of the empty string — the sorted initial states — is subset 1,
       // and level-0 samples all resolve to it.
-      set_slot_.assign(1, Slot{});
-      set_hash_.assign(1, 0);
-      set_table_.assign(size_t{1} << kTableLog2, 0);
-      step_table_.assign(size_t{1} << kTableLog2, StepEntry{});
-      set_shift_ = step_shift_ = 64 - kTableLog2;
       step_scratch_ = nfa_.initial_states();
       std::sort(step_scratch_.begin(), step_scratch_.end());
-      initial_set_ = Intern(step_scratch_);
+      initial_set_ = sets_.Intern(step_scratch_);
     }
     // Level 0: A(q, 0) = {λ} iff q is initial.
     for (StateId q = 0; q < num_states_; ++q) {
       if (nfa_.IsInitial(q) && live_.Test(At(0, q))) {
         est_[At(0, q)] = ExtFloat::FromUint64(1);
-        pool_[At(0, q)] = Slot{static_cast<uint32_t>(pool_arena_.size()), 1};
+        pool_[At(0, q)] =
+            ArenaRun{static_cast<uint32_t>(pool_arena_.size()), 1};
         pool_arena_.push_back(SampleRef{});  // the empty string
       }
     }
@@ -208,89 +189,27 @@ class NfaCounter {
       set = Step(set, trans[pool_arena_[link].transition].symbol);
       reach_[link] = set;
     }
-    return SetView(set);
+    return sets_.View(set);
   }
 
   // --- Lazy subset DFA ----------------------------------------------------
   //
-  // Every distinct run-state set is interned once in set_arena_ under a
-  // dense subset id, and step_table_ maps a packed (subset id, symbol) key
-  // to the successor's id. A step runs the subset simulation
-  // (Nfa::ActiveStep) only when its key is new to the run; every other
-  // step is one table probe. Both tables are flat open-addressing arrays
-  // with linear probing, and they die with the counter.
-
-  Span<StateId> SetView(uint32_t set) const {
-    const Slot s = set_slot_[set];
-    return Span<StateId>(set_arena_.data() + s.off, s.len);
-  }
+  // Every distinct run-state set is interned once in sets_ under a dense
+  // subset id, and steps_ maps a packed (subset id, symbol) key to the
+  // successor's id. A step runs the subset simulation (Nfa::ActiveStep)
+  // only when its key is new to the run; every other step is one table
+  // probe (counting/subset_intern.h).
 
   // The successor subset of `set` under `symbol`.
   uint32_t Step(uint32_t set, SymbolId symbol) {
     // set >= 1, so a live key is never 0, the empty-bucket marker.
     const uint64_t key = (uint64_t{set} << 32) | symbol;
-    const size_t mask = step_table_.size() - 1;
-    size_t b = HashBucket(key, step_shift_);
-    for (; step_table_[b].key != 0; b = (b + 1) & mask) {
-      if (step_table_[b].key == key) return step_table_[b].next;
-    }
+    if (const uint32_t* next = steps_.Find(key)) return *next;
     ++stats_.runstates_steps;
-    nfa_.ActiveStep(SetView(set), symbol, &step_scratch_);
-    const uint32_t next = Intern(step_scratch_);
-    step_table_[b] = StepEntry{key, next};
-    if (2 * ++step_count_ > step_table_.size()) GrowStepTable();
+    nfa_.ActiveStep(sets_.View(set), symbol, &step_scratch_);
+    const uint32_t next = sets_.Intern(step_scratch_);
+    steps_.Insert(key, next);
     return next;
-  }
-
-  // The id of the sorted set `states`, appended to set_arena_ if new.
-  uint32_t Intern(const std::vector<StateId>& states) {
-    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the state ids
-    for (StateId s : states) h = (h ^ s) * 0x100000001b3ull;
-    const size_t mask = set_table_.size() - 1;
-    size_t b = HashBucket(h, set_shift_);
-    for (; set_table_[b] != 0; b = (b + 1) & mask) {
-      const uint32_t id = set_table_[b];
-      if (set_hash_[id] != h) continue;
-      const Span<StateId> known = SetView(id);
-      if (std::equal(known.begin(), known.end(), states.begin(),
-                     states.end())) {
-        return id;
-      }
-    }
-    PQE_CHECK(set_slot_.size() < UINT32_MAX);
-    PQE_CHECK(set_arena_.size() + states.size() <= UINT32_MAX);
-    const uint32_t id = static_cast<uint32_t>(set_slot_.size());
-    set_slot_.push_back(Slot{static_cast<uint32_t>(set_arena_.size()),
-                             static_cast<uint32_t>(states.size())});
-    set_hash_.push_back(h);
-    set_arena_.insert(set_arena_.end(), states.begin(), states.end());
-    set_table_[b] = id;
-    if (2 * (set_slot_.size() - 1) > set_table_.size()) GrowSetTable();
-    return id;
-  }
-
-  void GrowStepTable() {
-    const std::vector<StepEntry> old = std::move(step_table_);
-    step_table_.assign(old.size() * 2, StepEntry{});
-    --step_shift_;
-    const size_t mask = step_table_.size() - 1;
-    for (const StepEntry& e : old) {
-      if (e.key == 0) continue;
-      size_t b = HashBucket(e.key, step_shift_);
-      while (step_table_[b].key != 0) b = (b + 1) & mask;
-      step_table_[b] = e;
-    }
-  }
-
-  void GrowSetTable() {
-    set_table_.assign(set_table_.size() * 2, 0);
-    --set_shift_;
-    const size_t mask = set_table_.size() - 1;
-    for (uint32_t id = 1; id < set_slot_.size(); ++id) {
-      size_t b = HashBucket(set_hash_[id], set_shift_);
-      while (set_table_[b] != 0) b = (b + 1) & mask;
-      set_table_[b] = id;
-    }
   }
 
   // A same-symbol group of incoming transitions (see ProcessStratum): the
@@ -571,7 +490,7 @@ class NfaCounter {
     }
     PQE_CHECK(pool_arena_.size() <= UINT32_MAX);
     const size_t pool_len = pool_arena_.size() - pool_begin;
-    pool_[At(l, q)] = Slot{static_cast<uint32_t>(pool_begin),
+    pool_[At(l, q)] = ArenaRun{static_cast<uint32_t>(pool_begin),
                            static_cast<uint32_t>(pool_len)};
     if (cached_) reach_.resize(pool_arena_.size());
     stats_.pool_entries += pool_len;
@@ -689,27 +608,16 @@ class NfaCounter {
   // Level-major stratum tables, indexed by At(l, q).
   FlatBitset live_;
   std::vector<ExtFloat> est_;
-  std::vector<Slot> pool_;             // run of pool_arena_ per stratum
+  std::vector<ArenaRun> pool_;             // run of pool_arena_ per stratum
   std::vector<SampleRef> pool_arena_;  // every pool, back to back
 
   // Run-state memo (ReachStates): one subset id per pooled sample,
   // parallel to pool_arena_ (0 = not computed).
   std::vector<uint32_t> reach_;
-  // Lazy subset DFA: interned sorted sets back to back in set_arena_, one
-  // slot and hash per subset id (id 0 unused); set_table_ finds an id by
-  // content, step_table_ a successor by (subset id, symbol).
-  struct StepEntry {
-    uint64_t key = 0;  // (subset id << 32) | symbol; 0 = empty bucket
-    uint32_t next = 0;
-  };
-  std::vector<StateId> set_arena_;
-  std::vector<Slot> set_slot_;
-  std::vector<uint64_t> set_hash_;
-  std::vector<uint32_t> set_table_;  // subset ids; 0 = empty bucket
-  std::vector<StepEntry> step_table_;
-  size_t step_count_ = 0;
-  unsigned set_shift_ = 0;   // 64 - log2(set_table_.size())
-  unsigned step_shift_ = 0;  // 64 - log2(step_table_.size())
+  // Lazy subset DFA: interned run-state sets, and the successor id of each
+  // (subset id, symbol) step taken so far.
+  SetInterner sets_;
+  PackedTable steps_;
   uint32_t initial_set_ = 0;
 
   // Hot-path scratch, reused across draws and strata.

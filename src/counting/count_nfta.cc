@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "automata/tree.h"
 #include "counting/flat_bitset.h"
+#include "counting/subset_intern.h"
 #include "counting/weighted_pick.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,19 +26,23 @@ namespace {
 constexpr size_t kDrawBatch = 256;
 
 // Derivation reference for a pooled tree sample of A(q, s): the transition
-// taken at the root and the forest sample index in F(τ, arity, s−1).
+// taken at the root and the forest_arena_ index of its child forest, a
+// sample of F(τ, arity, s−1) (unused for a leaf), plus the membership
+// kernel's memo of the tree's interned run-state set.
 struct TreeSample {
   uint32_t transition = 0;
   uint32_t forest = 0;
+  uint32_t set = 0;  // subset id (see TreeSet); 0 = not computed
 };
 
-// Derivation reference for a pooled forest sample of F(τ, j, s): the prefix
-// forest sample in F(τ, j−1, s − split) and the tree sample in
-// A(child_j(τ), split).
+// Derivation reference for a pooled forest sample of F(τ, j, s): the
+// forest_arena_ index of its prefix, a sample of F(τ, j−1, s − split)
+// (unused when j = 1), and the tree_arena_ index of its j-th child tree, a
+// sample of A(child_j(τ), split), plus the memo of its interned child tuple.
 struct ForestSample {
   uint32_t prefix = 0;
   uint32_t tree = 0;
-  uint32_t split = 0;  // size of the j-th child tree
+  uint32_t tuple = 0;  // child-tuple id (see ForestTuple); 0 = not computed
 };
 
 class NftaCounter {
@@ -109,13 +113,13 @@ class NftaCounter {
   // trees (possibly none) when the language is empty.
   std::vector<LabeledTree> SampleAccepted(size_t count) {
     std::vector<LabeledTree> out;
-    const auto& pool = TreePool(nfta_.initial_state(), n_);
-    if (pool.empty()) return out;
+    const uint32_t id = IdA(nfta_.initial_state(), n_);
+    if (id == kNoStratum || pool_a_[id].len == 0) return out;
+    const ArenaRun pool = pool_a_[id];
     out.reserve(count);
     for (size_t i = 0; i < count; ++i) {
-      const uint32_t idx =
-          static_cast<uint32_t>(rng_.NextBounded(pool.size()));
-      out.push_back(MaterializeTree(nfta_.initial_state(), n_, idx));
+      const uint32_t idx = static_cast<uint32_t>(rng_.NextBounded(pool.len));
+      out.push_back(MaterializeTree(pool.off + idx));
     }
     return out;
   }
@@ -393,21 +397,18 @@ class NftaCounter {
   // (state x size) tables would dominate memory.
   void AllocateTables() {
     est_a_.assign(a_size_.size(), ExtFloat());
-    pool_a_.assign(a_size_.size(), {});
-    if (fast_) {
-      fast_memo_.assign(a_size_.size(), {});
-      child0_index_.resize(nfta_.AlphabetSize());
-      // One scratch row per possible recursion depth (a child stratum is
-      // strictly smaller, so depth < n); sized up front because the
-      // recursion holds references into these rows while it descends.
-      fast_out_scratch_.resize(n_ + 1);
-      fast_kids_scratch_.resize(n_ + 1);
-      fast_sets_scratch_.resize(n_ + 1);
-    } else if (cached_) {
-      root_memo_.assign(a_size_.size(), {});
-    }
+    pool_a_.assign(a_size_.size(), ArenaRun{});
+    // Child-tuple id 0 is the "not computed" memo marker and id 1 the empty
+    // tuple; neither has a cons cell of its own.
+    tuple_prefix_.assign(kEmptyTuple + 1, 0);
+    tuple_last_.assign(kEmptyTuple + 1, 0);
     est_f_.assign(f_size_.size(), ExtFloat());
-    pool_f_.assign(f_size_.size(), {});
+    pool_f_.assign(f_size_.size(), ArenaRun{});
+    // A pool holds at most pool_target_ samples, so these bounds — what
+    // per-stratum vectors would reserve in total — spare the arenas every
+    // grow-and-copy.
+    tree_arena_.reserve(a_size_.size() * pool_target_);
+    forest_arena_.reserve(f_size_.size() * pool_target_);
   }
 
   ExtFloat EstA(StateId q, size_t s) const {
@@ -420,54 +421,33 @@ class NftaCounter {
     const uint32_t id = IdF(tau, j, s);
     return id == kNoStratum ? ExtFloat() : est_f_[id];
   }
-  const std::vector<TreeSample>& TreePool(StateId q, size_t s) const {
-    static const std::vector<TreeSample> kEmptyTrees;
-    const uint32_t id = IdA(q, s);
-    return id == kNoStratum ? kEmptyTrees : pool_a_[id];
-  }
-  const std::vector<ForestSample>& ForestPool(uint32_t tau, size_t j,
-                                              size_t s) const {
-    static const std::vector<ForestSample> kEmptyForests;
-    const uint32_t id = IdF(tau, j, s);
-    return id == kNoStratum ? kEmptyForests : pool_f_[id];
-  }
 
   // --- Materialization ---------------------------------------------------
 
-  // Appends the forest sample ForestPool(tau, j, s)[idx] as children of
-  // `parent` in `out` (left to right).
-  void MaterializeForest(uint32_t tau, size_t j, size_t s, uint32_t idx,
-                         LabeledTree* out, uint32_t parent) const {
+  // Appends the j trees of the forest sample forest_arena_[f] as children
+  // of `parent` in `out` (left to right).
+  void MaterializeForest(size_t j, uint32_t f, LabeledTree* out,
+                         uint32_t parent) const {
     if (j == 0) return;  // empty forest
-    const ForestSample& ref = ForestPool(tau, j, s)[idx];
-    MaterializeForest(tau, j - 1, s - ref.split, ref.prefix, out, parent);
-    const Nfta::Transition& t = nfta_.transition(tau);
-    MaterializeTreeInto(t.children[j - 1], ref.split, ref.tree, out, parent);
+    const ForestSample& ref = forest_arena_[f];
+    MaterializeForest(j - 1, ref.prefix, out, parent);
+    MaterializeTreeInto(ref.tree, out, parent);
   }
 
-  // Appends the tree sample TreePool(q, s)[idx] as a child of `parent`
-  // (or as the root when parent == kNoParent).
-  static constexpr uint32_t kNoParent = 0xffffffffu;
-  void MaterializeTreeInto(StateId q, size_t s, uint32_t idx,
-                           LabeledTree* out, uint32_t parent) const {
-    const TreeSample& ref = TreePool(q, s)[idx];
-    const Nfta::Transition& t = nfta_.transition(ref.transition);
-    uint32_t node;
-    if (parent == kNoParent) {
-      node = out->root();
-    } else {
-      node = out->AddChild(parent, t.symbol);
-    }
-    MaterializeForest(ref.transition, t.children.size(), s - 1, ref.forest,
-                      out, node);
+  // Appends the tree sample tree_arena_[t] as a child of `parent`.
+  void MaterializeTreeInto(uint32_t t, LabeledTree* out,
+                           uint32_t parent) const {
+    const TreeSample& ref = tree_arena_[t];
+    const Nfta::Transition& tr = nfta_.transition(ref.transition);
+    const uint32_t node = out->AddChild(parent, tr.symbol);
+    MaterializeForest(tr.children.size(), ref.forest, out, node);
   }
 
-  LabeledTree MaterializeTree(StateId q, size_t s, uint32_t idx) const {
-    const TreeSample& ref = TreePool(q, s)[idx];
-    const Nfta::Transition& t = nfta_.transition(ref.transition);
-    LabeledTree out(t.symbol);
-    MaterializeForest(ref.transition, t.children.size(), s - 1, ref.forest,
-                      &out, out.root());
+  LabeledTree MaterializeTree(uint32_t t) const {
+    const TreeSample& ref = tree_arena_[t];
+    const Nfta::Transition& tr = nfta_.transition(ref.transition);
+    LabeledTree out(tr.symbol);
+    MaterializeForest(tr.children.size(), ref.forest, &out, out.root());
     return out;
   }
 
@@ -517,7 +497,11 @@ class NftaCounter {
   // kLeafPool for a leaf transition.
   size_t ForestPoolSize(const Member& mb) const {
     if (mb.forest == kNoStratum) return kLeafPool;
-    return pool_f_[mb.forest].size();
+    return pool_f_[mb.forest].len;
+  }
+  // The forest_arena_ index of entry `idx` of member `mb`'s forest pool.
+  uint32_t ForestRef(const Member& mb, uint64_t idx) const {
+    return pool_f_[mb.forest].off + static_cast<uint32_t>(idx);
   }
 
   // Fast-kernel batch for the tree-stratum rejection loop: fills the SoA
@@ -541,13 +525,14 @@ class NftaCounter {
       const size_t pick =
           drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
       const size_t fpool_size = fpool_sizes[pick];
+      const Member& mb = members_[g.begin + pick];
       uint32_t forest = 0;
       if (fpool_size != kLeafPool) {
         if (fpool_size == 0) continue;
-        forest = static_cast<uint32_t>(
-            Rng::BoundedFromWord(words_[2 * i + 1], fpool_size));
+        forest = ForestRef(
+            mb, Rng::BoundedFromWord(words_[2 * i + 1], fpool_size));
       }
-      cand_tau_[i] = members_[g.begin + pick].tau;
+      cand_tau_[i] = mb.tau;
       cand_forest_[i] = forest;
       cand_valid_[i] = 1;
     }
@@ -603,9 +588,9 @@ class NftaCounter {
       out->transition = mb.tau;
       out->forest = 0;
       if (mb.forest != kNoStratum) {
-        const auto& fpool = pool_f_[mb.forest];
-        if (fpool.empty()) return false;
-        out->forest = static_cast<uint32_t>(rng_.NextBounded(fpool.size()));
+        const uint32_t len = pool_f_[mb.forest].len;
+        if (len == 0) return false;
+        out->forest = ForestRef(mb, rng_.NextBounded(len));
       }
       return true;
     };
@@ -648,7 +633,7 @@ class NftaCounter {
           for (size_t i = 0; i < batch; ++i) {
             if (cand_valid_[i] == 0) continue;
             const TreeSample candidate{cand_tau_[i], cand_forest_[i]};
-            if (CanonicalTransition(q, s, candidate) ==
+            if (CanonicalTransition(q, candidate) ==
                 candidate.transition) {
               accepted_.push_back(candidate);
             }
@@ -662,7 +647,7 @@ class NftaCounter {
           const size_t pick = drawer_.Draw(&rng_);
           TreeSample candidate;
           if (!DrawCandidate(members_[g.begin + pick], &candidate)) continue;
-          if (CanonicalTransition(q, s, candidate) == candidate.transition) {
+          if (CanonicalTransition(q, candidate) == candidate.transition) {
             accepted_.push_back(candidate);
           }
         }
@@ -705,8 +690,7 @@ class NftaCounter {
     if (group_list_.size() > 1) {
       drawer_.Prepare(DrawMode(), group_weights_, &stats_);
     }
-    auto& pool = pool_a_[id];
-    pool.reserve(pool_target_);
+    const size_t pool_begin = tree_arena_.size();
     if (fast_) {
       // Hoisted per-group draw bound: fresh-draw forest-pool size for
       // singleton groups (kLeafPool when no forest is drawn), accepted-pool
@@ -736,14 +720,15 @@ class NftaCounter {
           const size_t bound = fast_fpool_sizes_[gpick];
           const uint64_t word = words_[2 * i + 1];
           if (g.end - g.begin == 1) {
+            const Member& mb = members_[g.begin];
             uint32_t forest = 0;
             if (bound != kLeafPool) {
               if (bound == 0) continue;
-              forest = static_cast<uint32_t>(Rng::BoundedFromWord(word, bound));
+              forest = ForestRef(mb, Rng::BoundedFromWord(word, bound));
             }
-            pool.push_back(TreeSample{members_[g.begin].tau, forest});
+            tree_arena_.push_back(TreeSample{mb.tau, forest});
           } else if (bound != 0) {
-            pool.push_back(
+            tree_arena_.push_back(
                 accepted_[g.acc_begin + Rng::BoundedFromWord(word, bound)]);
           }
         }
@@ -756,291 +741,217 @@ class NftaCounter {
                              : *group_list_[drawer_.Draw(&rng_)];
         if (g.end - g.begin == 1) {
           TreeSample sample;
-          if (DrawCandidate(members_[g.begin], &sample)) pool.push_back(sample);
+          if (DrawCandidate(members_[g.begin], &sample)) {
+            tree_arena_.push_back(sample);
+          }
         } else if (g.acc_end != g.acc_begin) {
-          pool.push_back(accepted_[
+          tree_arena_.push_back(accepted_[
               g.acc_begin + rng_.NextBounded(g.acc_end - g.acc_begin)]);
         }
       }
     }
-    stats_.pool_entries += pool.size();
+    pool_a_[id] = CloseRun(pool_begin, tree_arena_.size());
+    stats_.pool_entries += pool_a_[id].len;
   }
 
-  // A pooled subtree reference: the tree sample TreePool(state, split)[tree].
-  struct ChildRef {
-    StateId state;
-    uint32_t split;
-    uint32_t tree;
-  };
-
-  // Resolves the forest sample ForestPool(tau, j, s)[idx] into its j child
-  // subtree references, left to right, without materializing anything.
-  void ResolveForest(uint32_t tau, size_t j, size_t s, uint32_t idx,
-                     std::vector<ChildRef>* out) const {
-    const Nfta::Transition& t = nfta_.transitions()[tau];
-    out->resize(j);
-    uint32_t cur_idx = idx;
-    size_t cur_s = s;
-    while (j > 0) {
-      const ForestSample& ref = ForestPool(tau, j, cur_s)[cur_idx];
-      (*out)[j - 1] = ChildRef{t.children[j - 1], ref.split, ref.tree};
-      cur_s -= ref.split;
-      cur_idx = ref.prefix;
-      --j;
-    }
+  // The run [begin, end) of a pool just appended to its arena; arena
+  // indexes are 32-bit.
+  static ArenaRun CloseRun(size_t begin, size_t end) {
+    PQE_CHECK(end <= UINT32_MAX);
+    return ArenaRun{static_cast<uint32_t>(begin),
+                    static_cast<uint32_t>(end - begin)};
   }
 
-  // Memoized run-state oracle: the sorted set of states from which the
-  // pooled tree TreePool(q, s)[idx] can be generated, computed recursively
-  // from the derivation references (shared subtrees are simulated once; the
-  // legacy path re-runs Nfta::RunStates over the whole materialized tree per
-  // check). Pools referenced by a sample live in strictly smaller, already
-  // finalized strata, so memo entries never invalidate within a run. Every
-  // run-state set contains the pool's own state q, so an empty vector
-  // doubles as the "uncomputed" sentinel. The per-node candidate enumeration
-  // mirrors Nfta::RunStates exactly (same dense index, same order).
-  const std::vector<StateId>& RootStates(StateId q, size_t s, uint32_t idx) {
-    const uint32_t id = IdA(q, s);
-    auto& level = root_memo_[id];
-    const auto& pool = pool_a_[id];
-    if (level.size() < pool.size()) level.resize(pool.size());
-    if (!level[idx].empty()) {
+  // --- Membership kernel: interned run-state sets ------------------------
+  //
+  // The run-state set of a tree — the states from which it can be
+  // generated — depends only on its root symbol and on the run-state sets
+  // of its child subtrees, left to right. So each pooled forest sample
+  // memoizes the tuple of its children's sets as an interned child-tuple
+  // id (a cons cell: its prefix's tuple id and its last child's subset id,
+  // interned in tuples_), and each pooled tree sample memoizes its own
+  // subset id. A set is computed once per distinct (symbol, tuple id) key
+  // (tree_sets_), and a canonical transition once per (candidate
+  // transition, tuple id) key (canonical_). A membership check on memoized
+  // slots is then one slot read and one table probe. Pools referenced by a
+  // sample live in strictly smaller, already finalized strata, so no memo
+  // entry invalidates within a run. The answers are the sets the
+  // materialize-and-simulate legacy oracle computes, so every draw is
+  // unchanged.
+
+  static constexpr uint32_t kEmptyTuple = 1;
+
+  // The subset id of the run-state set of the pooled tree
+  // tree_arena_[tree].
+  uint32_t TreeSet(uint32_t tree) {
+    // Recursion only writes memo fields; no arena grows while a membership
+    // check runs, so the reference holds.
+    TreeSample& ref = tree_arena_[tree];
+    if (ref.set != 0) {
       ++stats_.runstates_memo_hits;
-      return level[idx];
+      return ref.set;
     }
     ++stats_.runstates_memo_misses;
+    const Nfta::Transition& t = nfta_.transitions()[ref.transition];
+    const uint32_t tuple = ForestTuple(t.children.size(), ref.forest);
+    // tuple >= 1, so a live key is never 0, the empty-bucket marker.
+    const uint64_t key = (uint64_t{tuple} << 32) | t.symbol;
+    const uint32_t* known = tree_sets_.Find(key);
+    ref.set = known != nullptr ? *known : ComputeTreeSet(t.symbol, tuple, key);
+    return ref.set;
+  }
+
+  // The child-tuple id of the j-tree forest sample forest_arena_[f]: the
+  // subset ids of its child subtrees.
+  uint32_t ForestTuple(size_t j, uint32_t f) {
+    if (j == 0) return kEmptyTuple;
+    ForestSample& ref = forest_arena_[f];
+    if (ref.tuple != 0) {
+      ++stats_.runstates_memo_hits;
+      return ref.tuple;
+    }
+    ++stats_.runstates_memo_misses;
+    const uint32_t prefix = ForestTuple(j - 1, ref.prefix);
+    const uint32_t child = TreeSet(ref.tree);
+    const uint64_t key = (uint64_t{prefix} << 32) | child;
+    if (const uint32_t* known = tuples_.Find(key)) {
+      ref.tuple = *known;
+    } else {
+      PQE_CHECK(tuple_prefix_.size() < UINT32_MAX);
+      ref.tuple = static_cast<uint32_t>(tuple_prefix_.size());
+      tuple_prefix_.push_back(prefix);
+      tuple_last_.push_back(child);
+      tuples_.Insert(key, ref.tuple);
+    }
+    return ref.tuple;
+  }
+
+  // Unpacks `tuple` into tuple_scratch_, first child's subset id first.
+  void DecodeTuple(uint32_t tuple) {
+    tuple_scratch_.clear();
+    for (; tuple != kEmptyTuple; tuple = tuple_prefix_[tuple]) {
+      tuple_scratch_.push_back(tuple_last_[tuple]);
+    }
+    std::reverse(tuple_scratch_.begin(), tuple_scratch_.end());
+  }
+
+  // Computes, interns and records under `key` the run-state set of a tree
+  // with root `symbol` whose child subtrees have the sets of `tuple`: the
+  // source states of every transition with that symbol and arity whose
+  // child states accept the respective subtrees (the candidate enumeration
+  // of Nfta::RunStates).
+  uint32_t ComputeTreeSet(SymbolId symbol, uint32_t tuple, uint64_t key) {
+    ++stats_.runstates_steps;
     const Nfta::Transition* trans = nfta_.transitions().data();
-    const TreeSample& ref = pool[idx];
-    const Nfta::Transition& t = trans[ref.transition];
-    const size_t m = t.children.size();
-    std::vector<StateId> out;
+    DecodeTuple(tuple);
+    const size_t m = tuple_scratch_.size();
+    set_scratch_.clear();
     if (m == 0) {
-      for (uint32_t tau2 : nfta_.LeafTransitions(t.symbol)) {
-        out.push_back(trans[tau2].from);
+      for (uint32_t tau : nfta_.LeafTransitions(symbol)) {
+        set_scratch_.push_back(trans[tau].from);
       }
     } else {
-      // Locals (not scratch members): RootStates recurses through children.
-      std::vector<ChildRef> kids;
-      ResolveForest(ref.transition, m, s - 1, ref.forest, &kids);
-      std::vector<const std::vector<StateId>*> sets(m);
-      for (size_t i = 0; i < m; ++i) {
-        // root_memo_ is sized once, and the level vector of stratum `id`
-        // is only resized on entry for that stratum — strictly-smaller
-        // recursive strata never alias it — so the references stay valid.
-        sets[i] = &RootStates(kids[i].state, kids[i].split, kids[i].tree);
-      }
-      for (StateId first_child_state : *sets[0]) {
-        for (uint32_t tau2 :
-             nfta_.TransitionsWithSymbolChild0(t.symbol, first_child_state)) {
-          const Nfta::Transition& cand = trans[tau2];
+      const Child0Index& index = EnsureChild0Index(symbol);
+      for (StateId first_child_state : sets_.View(tuple_scratch_[0])) {
+        const uint32_t end = index.offsets[first_child_state + 1];
+        for (uint32_t o = index.offsets[first_child_state]; o < end; ++o) {
+          const Nfta::Transition& cand = trans[index.taus[o]];
           if (cand.children.size() != m) continue;
-          bool ok = true;
-          for (size_t i = 1; i < m && ok; ++i) {
-            ok = std::binary_search(sets[i]->begin(), sets[i]->end(),
-                                    cand.children[i]);
-          }
-          if (ok) out.push_back(cand.from);
+          if (ChildrenAccept(cand, 1)) set_scratch_.push_back(cand.from);
         }
       }
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    level[idx] = std::move(out);
-    return level[idx];
+    std::sort(set_scratch_.begin(), set_scratch_.end());
+    set_scratch_.erase(std::unique(set_scratch_.begin(), set_scratch_.end()),
+                       set_scratch_.end());
+    const uint32_t id = sets_.Intern(set_scratch_);
+    tree_sets_.Insert(key, id);
+    return id;
   }
 
-  // --- Fast-tier membership kernel ---------------------------------------
-  //
-  // The fast tier answers the same run-state queries as RootStates but over
-  // SoA storage: memoized sets live back to back in one contiguous StateId
-  // arena (per-slot offset/length instead of one heap vector per pooled
-  // sample), and the per-node candidate enumeration replaces the global
-  // (symbol, child0) binary search — ~log|Δ| cache-missing probes per
-  // active state — with an O(1) lookup into a per-symbol CSR index built
-  // lazily on first use. Results are identical to RootStates; only the
-  // constants change.
-
   // Arity-≥1 transitions carrying one symbol, CSR-grouped by first child
-  // state (counting sort, so taus stay ascending within a child0 bucket).
+  // state (counting sort, so taus stay ascending within a child0 bucket):
+  // an O(1) candidate lookup per state of the first child's set, where
+  // Nfta::TransitionsWithSymbolChild0 binary-searches the global index.
   struct Child0Index {
     std::vector<uint32_t> offsets;  // NumStates() + 1 entries
     std::vector<uint32_t> taus;
   };
 
   const Child0Index& EnsureChild0Index(SymbolId symbol) {
-    std::unique_ptr<Child0Index>& slot = child0_index_[symbol];
-    if (slot != nullptr) return *slot;
-    slot = std::make_unique<Child0Index>();
-    const size_t S = nfta_.NumStates();
+    if (child0_index_.empty()) child0_index_.resize(nfta_.AlphabetSize());
+    Child0Index& index = child0_index_[symbol];
+    if (!index.offsets.empty()) return index;
     const Nfta::Transition* trans = nfta_.transitions().data();
-    slot->offsets.assign(S + 1, 0);
-    size_t total = 0;
+    index.offsets.assign(nfta_.NumStates() + 1, 0);
     for (uint32_t tau : nfta_.TransitionsWithSymbol(symbol)) {
-      if (trans[tau].children.empty()) continue;
-      ++slot->offsets[trans[tau].children[0] + 1];
-      ++total;
+      if (!trans[tau].children.empty()) {
+        ++index.offsets[trans[tau].children[0] + 1];
+      }
     }
-    for (size_t i = 0; i < S; ++i) slot->offsets[i + 1] += slot->offsets[i];
-    slot->taus.resize(total);
-    std::vector<uint32_t> cursor(slot->offsets.begin(),
-                                 slot->offsets.end() - 1);
+    for (size_t q = 0; q < nfta_.NumStates(); ++q) {
+      index.offsets[q + 1] += index.offsets[q];
+    }
+    index.taus.resize(index.offsets.back());
+    std::vector<uint32_t> cursor(index.offsets.begin(),
+                                 index.offsets.end() - 1);
     for (uint32_t tau : nfta_.TransitionsWithSymbol(symbol)) {
-      if (trans[tau].children.empty()) continue;
-      slot->taus[cursor[trans[tau].children[0]]++] = tau;
+      if (!trans[tau].children.empty()) {
+        index.taus[cursor[trans[tau].children[0]]++] = tau;
+      }
     }
-    return *slot;
+    return index;
   }
 
-  // A memoized set is (offset, length) into memo_arena_; appends never move
-  // earlier entries' offsets, so views taken after a recursive call stay
-  // valid. kUnsetOff marks an uncomputed slot (a computed-but-empty set
-  // stores a real offset with length 0).
-  static constexpr uint32_t kUnsetOff = 0xffffffffu;
-  using SetRef = std::pair<uint32_t, uint32_t>;
-
-  // Fast-tier twin of RootStates: same memo keying, same recursion over the
-  // derivation refs, same resulting sorted set. `depth` indexes reusable
-  // scratch rows so the recursion allocates nothing in steady state.
-  SetRef FastRootStates(StateId q, size_t s, uint32_t idx, size_t depth) {
-    const uint32_t id = IdA(q, s);
-    auto& level = fast_memo_[id];
-    const auto& pool = pool_a_[id];
-    if (level.off.size() < pool.size()) {
-      level.off.resize(pool.size(), kUnsetOff);
-      level.len.resize(pool.size(), 0);
-    }
-    if (level.off[idx] != kUnsetOff) {
-      ++stats_.runstates_memo_hits;
-      return {level.off[idx], level.len[idx]};
-    }
-    ++stats_.runstates_memo_misses;
-    const Nfta::Transition* trans = nfta_.transitions().data();
-    const TreeSample& ref = pool[idx];
-    const Nfta::Transition& t = trans[ref.transition];
-    const size_t m = t.children.size();
-    std::vector<StateId>& out = fast_out_scratch_[depth];
-    out.clear();
-    if (m == 0) {
-      for (uint32_t tau2 : nfta_.LeafTransitions(t.symbol)) {
-        out.push_back(trans[tau2].from);
-      }
-    } else {
-      std::vector<ChildRef>& kids = fast_kids_scratch_[depth];
-      ResolveForest(ref.transition, m, s - 1, ref.forest, &kids);
-      std::vector<SetRef>& sets = fast_sets_scratch_[depth];
-      sets.resize(m);
-      for (size_t i = 0; i < m; ++i) {
-        sets[i] = FastRootStates(kids[i].state, kids[i].split, kids[i].tree,
-                                 depth + 1);
-      }
-      const Child0Index& index = EnsureChild0Index(t.symbol);
-      // Arena pointer taken after all recursion: appends are done.
-      const StateId* arena = memo_arena_.data();
-      const StateId* child0 = arena + sets[0].first;
-      for (uint32_t k = 0; k < sets[0].second; ++k) {
-        const StateId first_child_state = child0[k];
-        const uint32_t begin = index.offsets[first_child_state];
-        const uint32_t end = index.offsets[first_child_state + 1];
-        for (uint32_t o = begin; o < end; ++o) {
-          const Nfta::Transition& cand = trans[index.taus[o]];
-          if (cand.children.size() != m) continue;
-          bool ok = true;
-          for (size_t i = 1; i < m && ok; ++i) {
-            const StateId* b = arena + sets[i].first;
-            ok = std::binary_search(b, b + sets[i].second, cand.children[i]);
-          }
-          if (ok) out.push_back(cand.from);
-        }
+  // Whether child states `from`.. of `cand` lie in the respective sets of
+  // the tuple in tuple_scratch_ (of cand's arity).
+  bool ChildrenAccept(const Nfta::Transition& cand, size_t from) const {
+    for (size_t i = from; i < tuple_scratch_.size(); ++i) {
+      const Span<StateId> set = sets_.View(tuple_scratch_[i]);
+      if (!std::binary_search(set.begin(), set.end(), cand.children[i])) {
+        return false;
       }
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    const uint32_t off = static_cast<uint32_t>(memo_arena_.size());
-    memo_arena_.insert(memo_arena_.end(), out.begin(), out.end());
-    // `level` references fast_memo_[id], which is sized once (and same-id
-    // re-entry cannot have resized the slot vectors — child strata are
-    // strictly smaller).
-    level.off[idx] = off;
-    level.len[idx] = static_cast<uint32_t>(out.size());
-    return {off, level.len[idx]};
-  }
-
-  uint32_t CanonicalTransitionFast(StateId q, size_t s,
-                                   const TreeSample& candidate) {
-    const Nfta::Transition* trans = nfta_.transitions().data();
-    const Nfta::Transition& t = trans[candidate.transition];
-    const size_t m = t.children.size();
-    ResolveForest(candidate.transition, m, s - 1, candidate.forest,
-                  &child_scratch_);
-    fast_top_sets_.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      fast_top_sets_[i] = FastRootStates(child_scratch_[i].state,
-                                         child_scratch_[i].split,
-                                         child_scratch_[i].tree, 0);
-    }
-    const StateId* arena = memo_arena_.data();
-    for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
-      const Nfta::Transition& cand = trans[tau_idx];
-      if (cand.symbol != t.symbol || cand.children.size() != m) continue;
-      bool ok = true;
-      for (size_t i = 0; i < m && ok; ++i) {
-        const StateId* b = arena + fast_top_sets_[i].first;
-        ok = std::binary_search(b, b + fast_top_sets_[i].second,
-                                cand.children[i]);
-      }
-      if (ok) return tau_idx;
-    }
-    // The candidate itself always matches; unreachable.
-    PQE_CHECK(false);
-    return candidate.transition;
+    return true;
   }
 
   // The canonical generating transition for the tree denoted by `candidate`
-  // at stratum (q, s): the smallest-index τ' ∈ out(q) whose symbol and arity
+  // in a stratum of q: the smallest-index τ' ∈ out(q) whose symbol and arity
   // match and whose child states accept the respective subtrees (decided
-  // exactly by bottom-up simulation — memoized over the candidate's pooled
-  // child subtrees, or from scratch on the ablation path).
-  uint32_t CanonicalTransition(StateId q, size_t s,
-                               const TreeSample& candidate) {
+  // exactly by bottom-up simulation — through the interned run-state sets,
+  // or from scratch on the ablation path).
+  uint32_t CanonicalTransition(StateId q, const TreeSample& candidate) {
     ++stats_.membership_checks;
-    if (!cached_) return CanonicalTransitionLegacy(q, s, candidate);
-    if (fast_) return CanonicalTransitionFast(q, s, candidate);
+    if (!cached_) return CanonicalTransitionLegacy(q, candidate);
     const Nfta::Transition* trans = nfta_.transitions().data();
     const Nfta::Transition& t = trans[candidate.transition];
     const size_t m = t.children.size();
-    // The candidate's child subtrees are pooled samples of smaller strata;
-    // their run-state sets come from the memo. Scratch reused across draws
-    // (only the recursion inside RootStates needs locals).
-    ResolveForest(candidate.transition, m, s - 1, candidate.forest,
-                  &child_scratch_);
-    set_scratch_.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      set_scratch_[i] = &RootStates(child_scratch_[i].state,
-                                    child_scratch_[i].split,
-                                    child_scratch_[i].tree);
-    }
+    const uint32_t tuple = ForestTuple(m, candidate.forest);
+    // The candidate transition fixes q (its source), the symbol and the
+    // arity, so it and the tuple make the whole key.
+    const uint64_t key = (uint64_t{tuple} << 32) | candidate.transition;
+    if (const uint32_t* known = canonical_.Find(key)) return *known;
+    DecodeTuple(tuple);
     for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
       const Nfta::Transition& cand = trans[tau_idx];
       if (cand.symbol != t.symbol || cand.children.size() != m) continue;
-      bool ok = true;
-      for (size_t i = 0; i < m && ok; ++i) {
-        ok = std::binary_search(set_scratch_[i]->begin(),
-                                set_scratch_[i]->end(), cand.children[i]);
+      if (ChildrenAccept(cand, 0)) {
+        canonical_.Insert(key, tau_idx);
+        return tau_idx;
       }
-      if (ok) return tau_idx;
     }
     // The candidate itself always matches; unreachable.
     PQE_CHECK(false);
     return candidate.transition;
   }
 
-  uint32_t CanonicalTransitionLegacy(StateId q, size_t s,
+  uint32_t CanonicalTransitionLegacy(StateId q,
                                      const TreeSample& candidate) {
     LabeledTree tree = [&] {
       const Nfta::Transition& t = nfta_.transition(candidate.transition);
       LabeledTree out(t.symbol);
-      MaterializeForest(candidate.transition, t.children.size(), s - 1,
-                        candidate.forest, &out, out.root());
+      MaterializeForest(t.children.size(), candidate.forest, &out,
+                        out.root());
       return out;
     }();
     const std::vector<std::vector<StateId>> run = nfta_.RunStates(tree);
@@ -1094,19 +1005,17 @@ class NftaCounter {
     if (splits_.size() > 1) {
       drawer_.Prepare(DrawMode(), split_weights_, &stats_);
     }
-    auto& pool = pool_f_[id];
-    pool.reserve(pool_target_);
+    const size_t pool_begin = forest_arena_.size();
     // The pools a draw composes from are per-split invariants of the
-    // stratum (they belong to strictly smaller strata, complete by now),
-    // and only their sizes are read — hoisted once per split instead of
-    // looked up per trial.
-    prev_sizes_.resize(splits_.size());
-    tree_sizes_.resize(splits_.size());
+    // stratum (they belong to strictly smaller strata, complete by now) —
+    // hoisted once per split instead of looked up per trial.
+    prev_pools_.resize(splits_.size());
+    tree_pools_.resize(splits_.size());
     for (size_t k = 0; k < splits_.size(); ++k) {
-      prev_sizes_[k] = split_prefix_ids_[k] == kNoStratum
-                           ? 0
-                           : pool_f_[split_prefix_ids_[k]].size();
-      tree_sizes_[k] = pool_a_[split_tree_ids_[k]].size();
+      prev_pools_[k] = split_prefix_ids_[k] == kNoStratum
+                           ? ArenaRun{}
+                           : pool_f_[split_prefix_ids_[k]];
+      tree_pools_[k] = pool_a_[split_tree_ids_[k]];
     }
     if (fast_) {
       // Batched composition: one word for the split pick, one for the
@@ -1122,35 +1031,39 @@ class NftaCounter {
               splits_.size() == 1
                   ? 0
                   : drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[3 * i]));
-          uint32_t prefix_idx = 0;
+          const ArenaRun prev = prev_pools_[pick];
+          const ArenaRun tree = tree_pools_[pick];
+          uint32_t prefix = 0;
           if (j - 1 > 0) {
-            if (prev_sizes_[pick] == 0) continue;
-            prefix_idx = static_cast<uint32_t>(Rng::BoundedFromWord(
-                words_[3 * i + 1], prev_sizes_[pick]));
+            if (prev.len == 0) continue;
+            prefix = prev.off + static_cast<uint32_t>(Rng::BoundedFromWord(
+                                    words_[3 * i + 1], prev.len));
           }
-          if (tree_sizes_[pick] == 0) continue;
-          const uint32_t tree_idx = static_cast<uint32_t>(
-              Rng::BoundedFromWord(words_[3 * i + 2], tree_sizes_[pick]));
-          pool.push_back(ForestSample{prefix_idx, tree_idx, splits_[pick]});
+          if (tree.len == 0) continue;
+          forest_arena_.push_back(ForestSample{
+              prefix, tree.off + static_cast<uint32_t>(Rng::BoundedFromWord(
+                                     words_[3 * i + 2], tree.len))});
         }
         done += batch;
       }
     } else {
       for (size_t i = 0; i < pool_target_; ++i) {
         const size_t pick = splits_.size() == 1 ? 0 : drawer_.Draw(&rng_);
-        uint32_t prefix_idx = 0;
+        const ArenaRun prev = prev_pools_[pick];
+        const ArenaRun tree = tree_pools_[pick];
+        uint32_t prefix = 0;
         if (j - 1 > 0) {
-          if (prev_sizes_[pick] == 0) continue;
-          prefix_idx =
-              static_cast<uint32_t>(rng_.NextBounded(prev_sizes_[pick]));
+          if (prev.len == 0) continue;
+          prefix = prev.off + static_cast<uint32_t>(rng_.NextBounded(prev.len));
         }
-        if (tree_sizes_[pick] == 0) continue;
-        const uint32_t tree_idx =
-            static_cast<uint32_t>(rng_.NextBounded(tree_sizes_[pick]));
-        pool.push_back(ForestSample{prefix_idx, tree_idx, splits_[pick]});
+        if (tree.len == 0) continue;
+        forest_arena_.push_back(ForestSample{
+            prefix,
+            tree.off + static_cast<uint32_t>(rng_.NextBounded(tree.len))});
       }
     }
-    stats_.pool_entries += pool.size();
+    pool_f_[id] = CloseRun(pool_begin, forest_arena_.size());
+    stats_.pool_entries += pool_f_[id].len;
   }
 
   // --- Cancellation -------------------------------------------------------
@@ -1175,8 +1088,6 @@ class NftaCounter {
 
   // Hot-path scratch, reused across draws and strata.
   IndexDrawer drawer_;
-  std::vector<ChildRef> child_scratch_;
-  std::vector<const std::vector<StateId>*> set_scratch_;
   std::vector<Member> members_;  // symbol groups of the current tree stratum
   std::vector<Group> groups_;
   std::vector<TreeSample> accepted_;  // every group's canonical hits
@@ -1190,30 +1101,28 @@ class NftaCounter {
   std::vector<ExtFloat> split_weights_;
   std::vector<uint32_t> split_prefix_ids_;
   std::vector<uint32_t> split_tree_ids_;
-  std::vector<size_t> prev_sizes_;
-  std::vector<size_t> tree_sizes_;
+  std::vector<ArenaRun> prev_pools_;
+  std::vector<ArenaRun> tree_pools_;
   // Fast-kernel SoA arenas, sized to one batch and reused across batches.
   std::vector<uint64_t> words_;        // raw block-RNG output
   std::vector<uint32_t> cand_tau_;     // candidate transition per attempt
   std::vector<uint32_t> cand_forest_;  // candidate forest index per attempt
   std::vector<uint8_t> cand_valid_;    // 0 = the forest pool was empty
   obs::Histogram* batch_hist_ = nullptr;  // lazy counting.batch_size_hist
-  // root_memo_[A id][pool idx] -> sorted run-state set of the pooled tree.
-  std::vector<std::vector<std::vector<StateId>>> root_memo_;
-  // Fast-tier membership kernel state (see FastRootStates): the SoA memo —
-  // per-slot (offset, length) views into one shared arena — plus the lazy
-  // per-symbol candidate indexes and the per-depth recursion scratch rows.
-  struct FastMemoLevel {
-    std::vector<uint32_t> off;  // kUnsetOff = uncomputed
-    std::vector<uint32_t> len;
-  };
-  std::vector<FastMemoLevel> fast_memo_;  // [A id]
-  std::vector<StateId> memo_arena_;
-  std::vector<std::unique_ptr<Child0Index>> child0_index_;  // [symbol]
-  std::vector<std::vector<StateId>> fast_out_scratch_;      // [depth]
-  std::vector<std::vector<ChildRef>> fast_kids_scratch_;    // [depth]
-  std::vector<std::vector<SetRef>> fast_sets_scratch_;      // [depth]
-  std::vector<SetRef> fast_top_sets_;
+  // Membership kernel (see TreeSet): interned run-state sets, the cons
+  // cells of the interned child tuples ([tuple id] -> prefix tuple id, last
+  // child's subset id), and the tables keyed (prefix tuple, child set) ->
+  // tuple, (tuple, symbol) -> set and (tuple, transition) -> canonical
+  // transition.
+  SetInterner sets_;
+  std::vector<uint32_t> tuple_prefix_;
+  std::vector<uint32_t> tuple_last_;
+  PackedTable tuples_;
+  PackedTable tree_sets_;
+  PackedTable canonical_;
+  std::vector<Child0Index> child0_index_;  // [symbol], built on first use
+  std::vector<uint32_t> tuple_scratch_;  // a decoded tuple's subset ids
+  std::vector<StateId> set_scratch_;     // a run-state set being computed
   // Hoisted per-group forest-pool sizes for the batched trial loops (see
   // kLeafPool); scratch reused across strata.
   std::vector<size_t> fast_fpool_sizes_;
@@ -1248,9 +1157,12 @@ class NftaCounter {
   std::vector<uint32_t> f_size_;
   // Per-stratum tables, indexed by dense id.
   std::vector<ExtFloat> est_a_;
-  std::vector<std::vector<TreeSample>> pool_a_;
+  std::vector<ArenaRun> pool_a_;  // run of tree_arena_ per A stratum
   std::vector<ExtFloat> est_f_;
-  std::vector<std::vector<ForestSample>> pool_f_;
+  std::vector<ArenaRun> pool_f_;  // run of forest_arena_ per F stratum
+  // Every pool, back to back; samples refer to each other by arena index.
+  std::vector<TreeSample> tree_arena_;
+  std::vector<ForestSample> forest_arena_;
 };
 
 }  // namespace
@@ -1350,6 +1262,7 @@ Result<CountEstimate> CountNftaTrees(const Nfta& nfta, size_t n,
     aggregate.batch_draws += est.stats.batch_draws;
     aggregate.runstates_memo_hits += est.stats.runstates_memo_hits;
     aggregate.runstates_memo_misses += est.stats.runstates_memo_misses;
+    aggregate.runstates_steps += est.stats.runstates_steps;
   }
   std::sort(runs.begin(), runs.end(),
             [](const CountEstimate& a, const CountEstimate& b) {

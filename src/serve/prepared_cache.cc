@@ -136,8 +136,14 @@ Result<std::shared_ptr<const PreparedQuery>> PreparedCache::GetOrPrepareImpl(
     }
   });
   if (!slot->status.ok()) {
-    // Don't retain failures: drop the slot (if it's still ours) so a later
-    // request retries instead of replaying a stale error forever.
+    // NotSupported (e.g. an RPQ instance that is not scan-orderable) is a
+    // pure function of the content key, so the slot keeps it and later
+    // requests skip straight to the caller's fallback. Any other failure
+    // (a deadline, a budget) may not recur: drop the slot (if it's still
+    // ours) so a later request retries instead of replaying a stale error.
+    if (slot->status.code() == StatusCode::kNotSupported) {
+      return slot->status;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end() && it->second->second == slot) {

@@ -51,7 +51,9 @@ class PreparedCache {
 
   /// Returns the cached PreparedQuery for the triple's content, compiling
   /// and inserting it on miss. A failed compile is returned to every caller
-  /// of that slot and is not retained (the next request retries).
+  /// of that slot. A NotSupported failure depends only on the content key,
+  /// so it stays cached (and counts hits); any other failure is not
+  /// retained (the next request retries).
   Result<std::shared_ptr<const PreparedQuery>> GetOrPrepare(
       const ConjunctiveQuery& query, const Database& db,
       const UrConstructionOptions& options, LookupResult* lookup = nullptr);

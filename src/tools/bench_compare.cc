@@ -1,18 +1,22 @@
 // bench_compare — the perf-regression gate. Diffs a fresh bench metrics
 // JSON (as written by --metrics_out) against a committed BENCH_*.json
-// baseline and fails when any shared speedup gauge regressed by more than
-// the threshold.
+// baseline and fails when any gated gauge regressed by more than the
+// threshold.
 //
 //   bench_compare --baseline BENCH_serving.json --fresh /tmp/fresh.json
 //                 [--threshold 0.25] [--advisory] [--update-baselines]
 //
-// Only gauges whose name contains "speedup" are gated: they are
-// ratio-of-medians within one run of one binary, so they are stable across
-// machines in a way raw millisecond gauges are not. A speedup gauge present
+// Two kinds of gauges are gated. A gauge whose name contains "speedup" is a
+// ratio within one run of one binary (higher is better); it fails below
+// baseline·(1 − threshold). A gauge whose name ends in "_msteps" is an
+// absolute latency normalized by the host's obs::CalibrationMops score
+// (lower is better; raw milliseconds vary too much across machines); it
+// fails above baseline / (1 − threshold), the same relative slowdown. A
+// gated gauge present
 // in the baseline but absent from the fresh run is reported as MISSING and
 // fails the gate — a renamed or dropped gauge must be acknowledged by
 // regenerating the baseline, not silently shrink the gated set. Comparing
-// two files with no baseline speedup gauge at all is an error (a silent
+// two files with no gated baseline gauge at all is an error (a silent
 // empty intersection would pass forever). --advisory prints the comparison
 // but always exits 0
 // (used by the sanitizer CI stages, where timings are meaningless).
@@ -134,8 +138,14 @@ int main(int argc, char** argv) {
   size_t compared = 0;
   size_t regressed = 0;
   size_t missing = 0;
+  const std::string kNormalized = "_msteps";
   for (const GaugeReading& base : *baseline) {
-    if (base.name.find("speedup") == std::string::npos) continue;
+    const bool ratio = base.name.find("speedup") != std::string::npos;
+    const bool normalized =
+        base.name.size() >= kNormalized.size() &&
+        base.name.compare(base.name.size() - kNormalized.size(),
+                          kNormalized.size(), kNormalized) == 0;
+    if (!ratio && !normalized) continue;
     const GaugeReading* now = Find(*fresh, base.name);
     if (now == nullptr) {
       ++missing;
@@ -144,17 +154,19 @@ int main(int argc, char** argv) {
       continue;
     }
     ++compared;
-    const double floor = base.value * (1.0 - threshold);
-    const bool bad = base.value > 0.0 && now->value < floor;
-    std::printf("%s %s: baseline %.2f, fresh %.2f (floor %.2f)\n",
+    const double bound = ratio ? base.value * (1.0 - threshold)
+                               : base.value / (1.0 - threshold);
+    const bool bad = base.value > 0.0 &&
+                     (ratio ? now->value < bound : now->value > bound);
+    std::printf("%s %s: baseline %.2f, fresh %.2f (%s %.2f)\n",
                 bad ? "REGRESSED" : "ok", base.name.c_str(), base.value,
-                now->value, floor);
+                now->value, ratio ? "floor" : "ceiling", bound);
     if (bad) ++regressed;
   }
 
   if (compared == 0 && missing == 0) {
     std::fprintf(stderr,
-                 "bench_compare: no speedup gauges in baseline %s "
+                 "bench_compare: no gated gauges in baseline %s "
                  "— wrong baseline file?\n",
                  baseline_path.c_str());
     return 2;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -613,6 +614,83 @@ TEST(HotpathEquivalenceTest, CountNfaSubsetMemoMatchesLegacy) {
           << KernelModeToString(mode) << ", seed " << seed;
       EXPECT_LT(serial->stats.runstates_steps,
                 serial->stats.runstates_memo_misses);
+    }
+  }
+}
+
+// Arity-1, -2 and -3 rules, each of the root's internal symbols shared by
+// two of its transitions, over child states x and y whose languages overlap
+// (both accept the 0-leaf and the unary trees over it). Run-state sets are subsets of three
+// states, so thousands of pooled trees share a handful of child-set tuples,
+// and the interned kernel computes each set once per (symbol, tuple) key.
+Nfta SharedTupleNfta() {
+  Nfta t;
+  const StateId r = t.AddState();
+  const StateId x = t.AddState();
+  const StateId y = t.AddState();
+  t.SetInitialState(r);
+  t.AddTransition(x, 0, {});
+  t.AddTransition(y, 0, {});
+  t.AddTransition(y, 1, {});
+  t.AddTransition(x, 2, {x});
+  t.AddTransition(y, 2, {x});
+  t.AddTransition(y, 2, {y});
+  t.AddTransition(r, 0, {});
+  t.AddTransition(r, 2, {x});
+  t.AddTransition(r, 2, {y});
+  t.AddTransition(r, 3, {x, r});
+  t.AddTransition(r, 3, {y, r});
+  t.AddTransition(r, 4, {x, r, y});
+  t.AddTransition(r, 4, {y, r, x});
+  return t;
+}
+
+// The interned run-state sets must answer exactly what the legacy tier's
+// materialize-and-simulate oracle answers, so the estimate and every
+// draw-determined stat match; only the cached tier builds pickers and
+// touches the memo, and it computes fewer sets than it memoizes slots.
+TEST(HotpathEquivalenceTest, CountNftaInternedMembershipMatchesLegacy) {
+  const std::pair<Nfta, size_t> cases[] = {{SharedTupleNfta(), 13},
+                                           {AmbiguousCombNfta(), 15}};
+  for (const auto& [t, n] : cases) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      auto legacy = CountNftaTrees(t, n, HotpathConfig(seed, true));
+      auto cached = CountNftaTrees(t, n, HotpathConfig(seed, false));
+      ASSERT_TRUE(legacy.ok() && cached.ok());
+      EXPECT_TRUE(cached->value == legacy->value)
+          << "seed " << seed << ": " << cached->value.ToString() << " vs "
+          << legacy->value.ToString();
+      CountStats draws = cached->stats;
+      draws.picker_builds = 0;
+      draws.runstates_memo_hits = 0;
+      draws.runstates_memo_misses = 0;
+      draws.runstates_steps = 0;
+      EXPECT_EQ(draws.ToString(), legacy->stats.ToString())
+          << "seed " << seed;
+      EXPECT_GT(cached->stats.membership_checks, 0u);
+      EXPECT_GT(cached->stats.runstates_memo_hits, 0u);
+      EXPECT_GT(cached->stats.runstates_steps, 0u);
+      EXPECT_LT(cached->stats.runstates_steps,
+                cached->stats.runstates_memo_misses);
+
+      // Each kernel tier's median-of-R: the same answer and stats at 1 and
+      // 4 threads.
+      for (KernelMode mode : {KernelMode::kExact, KernelMode::kFast}) {
+        EstimatorConfig cfg = HotpathConfig(seed, false);
+        cfg.kernel_mode = mode;
+        cfg.repetitions = 4;
+        cfg.num_threads = 1;
+        auto serial = CountNftaTrees(t, n, cfg);
+        cfg.num_threads = 4;
+        auto parallel = CountNftaTrees(t, n, cfg);
+        ASSERT_TRUE(serial.ok() && parallel.ok());
+        EXPECT_TRUE(serial->value == parallel->value)
+            << KernelModeToString(mode) << ", seed " << seed;
+        EXPECT_EQ(serial->stats.ToString(), parallel->stats.ToString())
+            << KernelModeToString(mode) << ", seed " << seed;
+        EXPECT_LT(serial->stats.runstates_steps,
+                  serial->stats.runstates_memo_misses);
+      }
     }
   }
 }

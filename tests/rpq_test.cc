@@ -458,7 +458,8 @@ TEST(RpqServeTest, PreparedAnswersAreBitIdenticalToEngine) {
 TEST(RpqServeTest, AutoFallsBackToLineageWhenNotScanOrderable) {
   // Cyclic instance + kAuto: the prepared compile reports NotSupported and
   // the engine's kAuto cascade resolves the request through lineage, so the
-  // service counts it as delegated work.
+  // service counts it as delegated work. The cache keeps the NotSupported
+  // outcome, so only the first of three requests compiles.
   Schema schema;
   ASSERT_TRUE(schema.AddRelation("a", 2).ok());
   Database db(schema);
@@ -480,27 +481,32 @@ TEST(RpqServeTest, AutoFallsBackToLineageWhenNotScanOrderable) {
   sopt.engine = *opts;
   sopt.num_threads = 1;
   serve::PqeService service(sopt);
-  EvalRequest r = EvalRequest::ForRpq(q, pdb);
-  r.request_id = 1;
-  const std::vector<EvalResponse> resp = service.EvaluateBatch({r});
-  ASSERT_EQ(resp.size(), 1u);
-  ASSERT_TRUE(resp[0].status.ok()) << resp[0].status.ToString();
   auto truth = rpq::ExactRpqProbabilityByEnumeration(q, pdb);
   ASSERT_TRUE(truth.ok());
-  EXPECT_NEAR(resp[0].answer.probability, truth->ToDouble(), 1e-12);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    EvalRequest r = EvalRequest::ForRpq(q, pdb);
+    r.request_id = id;
+    const std::vector<EvalResponse> resp = service.EvaluateBatch({r});
+    ASSERT_EQ(resp.size(), 1u);
+    ASSERT_TRUE(resp[0].status.ok()) << resp[0].status.ToString();
+    EXPECT_NEAR(resp[0].answer.probability, truth->ToDouble(), 1e-12);
+    // The cold engine, at the seed the service derived for this id, returns
+    // the same bits.
+    EvalRequest cold = r;
+    cold.seed = Rng::DeriveSeed(opts->seed, r.request_id);
+    const EvalResponse direct = PqeEngine(*opts).EvaluateRequest(cold);
+    ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
+    EXPECT_EQ(std::memcmp(&resp[0].answer.probability,
+                          &direct.answer.probability, sizeof(double)),
+              0)
+        << "request " << id;
+  }
 
   const serve::ServiceStats stats = service.StatsSnapshot();
   EXPECT_EQ(stats.by_class[static_cast<size_t>(serve::CacheClass::kDelegated)],
-            1u);
-  // The cold engine, at the seed the service derived for id 1, returns the
-  // same bits.
-  EvalRequest cold = r;
-  cold.seed = Rng::DeriveSeed(opts->seed, r.request_id);
-  const EvalResponse direct = PqeEngine(*opts).EvaluateRequest(cold);
-  ASSERT_TRUE(direct.status.ok()) << direct.status.ToString();
-  EXPECT_EQ(std::memcmp(&resp[0].answer.probability,
-                        &direct.answer.probability, sizeof(double)),
-            0);
+            3u);
+  EXPECT_EQ(service.cache().stats().misses, 1u);
+  EXPECT_EQ(service.cache().stats().hits, 2u);
 }
 
 }  // namespace
