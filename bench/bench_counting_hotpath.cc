@@ -1,27 +1,25 @@
-// E11 — Counting-core hot-path overhaul (docs/performance.md): wall-time of
-// the full PQE estimate pipeline with the hot-path caches (reusable
-// WeightedPickers + memoized run-state membership + CSR automata accessors)
-// against the in-binary legacy baseline (EstimatorConfig::
-// disable_hotpath_caches), on the E4 data-scaling sweep and the E8 query-
-// length sweep, single-threaded.
+// E11 — Counting-core hot path (docs/performance.md): wall-time of the full
+// PQE estimate pipeline in both kernel tiers — the exact tier (reusable
+// WeightedPickers + interned run-state membership + CSR automata accessors)
+// and the fast tier (kernel_mode=fast: batched alias-table kernels) — on
+// the E4 data-scaling sweep and the E8 query-length sweep, single-threaded.
 //
 //   bench_counting_hotpath [--smoke] [--metrics_out=BENCH_counting_hotpath.json]
 //
 // Each sweep cell is recorded as gauges
-// pqe.bench.counting_hotpath.<sweep>.<point>.{legacy_ms,cached_ms,fast_ms,
-// speedup,fast_speedup}, plus memo hit/miss, runstates_steps (run-state
+// pqe.bench.counting_hotpath.<sweep>.<point>.{cached_ms,fast_ms,
+// cached_msteps,fast_msteps}, plus memo hit/miss, runstates_steps (run-state
 // sets the interned membership kernel computed), picker-build, alias-build
-// and batch-draw counts from the cached/fast runs' stats. fast_speedup is
-// the batched alias-table kernels (kernel_mode=fast) against the cached
-// exact tier. cached_ms and fast_ms are the best of five runs (legacy_ms
-// is one run). The host is recorded too: a "host" object (threads,
-// compiler, flags, tracing and the obs::CalibrationMops speed score) heads
-// the metrics JSON, and each E4/E8 cell's cached and fast wall times are
-// also recorded normalized by that score as {cached,fast}_msteps — the
-// millions of calibration steps the host runs in that time — which
-// bench_compare gates as absolute latencies.
-// The two modes are draw-identical by construction, so every cell also
-// cross-checks that the cached estimate equals the legacy one bit for bit;
+// and batch-draw counts from the exact (cached) and fast runs' stats.
+// cached_ms and fast_ms are the best of five runs. The host is recorded
+// too: a "host" object (threads, compiler, flags, tracing and the
+// obs::CalibrationMops speed score) heads the metrics JSON, and every
+// cell's wall times are also recorded normalized by that score as
+// {cached,fast}_msteps — the millions of calibration steps the host runs in
+// that time — which bench_compare gates as absolute latencies.
+// Each tier draws one fixed stream, so every cell checks that its five runs
+// per tier return identical log2_probability bits (the exact tier's answers
+// are pinned against committed goldens in tests/counting_hotpath_test.cc);
 // the largest oracle-feasible E4 cell (width 3 — the exact subset DP blows
 // its entry budget beyond that) is additionally checked against the exact
 // oracle within the configured ε band. --smoke shrinks the E4/E8 sweeps to
@@ -29,11 +27,9 @@
 //
 // The E4/E8 cells run the tree route (CountNFTA). The path sweep runs path
 // CQs through the string route instead (PathPqeEstimate: §5.1 gadgets on
-// the Section 3 NFA, counted by CountNFA), recording
-// pqe.bench.counting_hotpath.path.<point>.{legacy_ms,cached_ms,fast_ms,
-// speedup,fast_speedup} plus the cached run's memo_hits, memo_misses and
-// runstates_steps (subset simulations the lazy DFA actually ran), with the
-// same cached == legacy bit-identity check.
+// the Section 3 NFA, counted by CountNFA) and records the same gauges, its
+// runstates_steps counting the subset simulations the lazy DFA actually
+// ran.
 
 #include <algorithm>
 #include <chrono>
@@ -70,10 +66,9 @@ double g_calibration_mops = 0.0;
 double Msteps(double ms) { return ms * g_calibration_mops / 1e3; }
 
 struct CellResult {
-  double legacy_ms = 0.0;
   double cached_ms = 0.0;
   double fast_ms = 0.0;
-  double log2_probability = 0.0;       // exact tier (cached == legacy)
+  double log2_probability = 0.0;       // exact tier
   double fast_log2_probability = 0.0;  // fast tier (statistical only)
 };
 
@@ -82,11 +77,8 @@ void RecordCell(const std::string& cell, const CellResult& r,
                 const CountStats& fast_stats) {
   const std::string prefix = "pqe.bench.counting_hotpath." + cell;
   auto& reg = obs::MetricRegistry::Global();
-  reg.GetGauge(prefix + ".legacy_ms").Set(r.legacy_ms);
   reg.GetGauge(prefix + ".cached_ms").Set(r.cached_ms);
   reg.GetGauge(prefix + ".fast_ms").Set(r.fast_ms);
-  reg.GetGauge(prefix + ".speedup").Set(r.legacy_ms / r.cached_ms);
-  reg.GetGauge(prefix + ".fast_speedup").Set(r.cached_ms / r.fast_ms);
   reg.GetGauge(prefix + ".picker_builds")
       .Set(static_cast<double>(cached_stats.picker_builds));
   reg.GetGauge(prefix + ".alias_builds")
@@ -103,64 +95,77 @@ void RecordCell(const std::string& cell, const CellResult& r,
   reg.GetGauge(prefix + ".fast_msteps").Set(Msteps(r.fast_ms));
 }
 
-// Runs the estimate in three modes — legacy hot path once, then cached and
-// the batched fast kernels best of five each — and checks the
-// bit-identical-draws contract between the two exact-tier runs before
-// reporting timings.
-CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
-                       const ProbabilisticDatabase& pdb,
+// Best-of-five wall time of estimate(cfg) (a cell can be a few
+// milliseconds, and host noise only ever adds time). Every run draws the
+// same stream, so all five must return the same log2_probability bits —
+// any drift is a bug, not noise; *result holds the last run.
+template <typename Estimate, typename Result>
+double BestOf5(const Estimate& estimate, const EstimatorConfig& cfg,
+               Result* result) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int run = 0; run < 5; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    Result r = estimate(cfg);
+    best = std::min(best, MillisSince(start));
+    if (run > 0) {
+      PQE_CHECK(std::memcmp(&r.log2_probability, &result->log2_probability,
+                            sizeof(double)) == 0);
+    }
+    *result = std::move(r);
+  }
+  return best;
+}
+
+void PrintHeader() {
+  std::printf("  %-10s %-12s %-12s %s\n", "cell", "cached_ms", "fast_ms",
+              "log2(P)");
+}
+
+// Times `estimate(cfg)` — a PqeEstimate or PathPqeEstimate call returning a
+// result with log2_probability and stats — in the exact tier, then in the
+// batched fast kernels, best of five each, and records the cell.
+template <typename Estimate>
+CellResult MeasureCell(const std::string& cell, const Estimate& estimate,
                        const EstimatorConfig& base_cfg) {
+  using Result = decltype(estimate(base_cfg));
   CellResult out;
   EstimatorConfig cfg = base_cfg;
   cfg.num_threads = 1;
 
-  cfg.disable_hotpath_caches = true;
-  auto t0 = std::chrono::steady_clock::now();
-  auto legacy = PqeEstimate(query, pdb, cfg).MoveValue();
-  out.legacy_ms = MillisSince(t0);
-
-  // Best-of-5 wall time of one estimate under `cfg` (a cell can be a few
-  // milliseconds, and host noise only ever adds time); every run draws the
-  // same stream, so *result is the same whichever run wrote it last.
-  auto BestOf5 = [&](PqeEstimateResult* result) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int run = 0; run < 5; ++run) {
-      const auto start = std::chrono::steady_clock::now();
-      *result = PqeEstimate(query, pdb, cfg).MoveValue();
-      best = std::min(best, MillisSince(start));
-    }
-    return best;
-  };
-
-  cfg.disable_hotpath_caches = false;
-  PqeEstimateResult cached;
-  out.cached_ms = BestOf5(&cached);
-
-  // The cached path consumes the same RNG stream and answers the same
-  // membership queries as the legacy path, so the estimates must agree
-  // exactly — any drift is a bug, not noise.
-  PQE_CHECK(cached.log2_probability == legacy.log2_probability);
-  PQE_CHECK(cached.tree_count.ToString() == legacy.tree_count.ToString());
+  Result cached;
+  out.cached_ms = BestOf5(estimate, cfg, &cached);
   out.log2_probability = cached.log2_probability;
 
   // Fast tier: different draw stream (alias tables over block RNG words), so
   // only statistical agreement is expected; the oracle cell gates accuracy.
   cfg.kernel_mode = KernelMode::kFast;
-  PqeEstimateResult fast;
-  out.fast_ms = BestOf5(&fast);
+  Result fast;
+  out.fast_ms = BestOf5(estimate, cfg, &fast);
   out.fast_log2_probability = fast.log2_probability;
   PQE_CHECK(std::isfinite(fast.log2_probability) ||
             fast.log2_probability == -std::numeric_limits<double>::infinity());
 
   RecordCell(cell, out, cached.stats, fast.stats);
-  std::printf("  %-10s %-12.1f %-12.1f %-12.1f %-8.2f %-8.2f %-12.4f "
+  std::printf("  %-10s %-12.1f %-12.1f %-12.4f "
               "hits=%zu misses=%zu steps=%zu batches=%zu\n",
-              cell.c_str(), out.legacy_ms, out.cached_ms, out.fast_ms,
-              out.legacy_ms / out.cached_ms, out.cached_ms / out.fast_ms,
-              out.log2_probability, cached.stats.runstates_memo_hits,
+              cell.c_str(), out.cached_ms, out.fast_ms, out.log2_probability,
+              cached.stats.runstates_memo_hits,
               cached.stats.runstates_memo_misses,
               cached.stats.runstates_steps, fast.stats.batch_draws);
   return out;
+}
+
+// A tree-route (CountNFTA) cell.
+CellResult MeasureTreeCell(const std::string& cell,
+                           const ConjunctiveQuery& query,
+                           const ProbabilisticDatabase& pdb,
+                           const EstimatorConfig& cfg) {
+  return MeasureCell(
+      cell,
+      [&](const EstimatorConfig& c) {
+        return PqeEstimate(query, pdb, c).MoveValue();
+      },
+      cfg);
 }
 
 // E4-style sweep: fixed path query (length 4), database width 2..max_width.
@@ -169,9 +174,7 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
   std::printf(
       "E4 sweep — path query length 4, layered width 2..%u, density 0.6\n",
       max_width);
-  std::printf("  %-10s %-12s %-12s %-12s %-8s %-8s %s\n", "cell",
-              "legacy_ms", "cached_ms", "fast_ms", "speedup", "fast_spd",
-              "log2(P)");
+  PrintHeader();
   auto qi = MakePathQuery(4).MoveValue();
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
@@ -180,8 +183,7 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
   // Median-of-3: the FPRAS's own δ mechanism. One repetition leaves the
   // oracle cell's ε gate at the mercy of a single draw stream (the fast
   // kernel's per-run variance breaches ε on ~1/3 of seeds); the median
-  // concentrates both kernels inside the band. Ratios (speedups) are
-  // unchanged — every mode pays the same factor.
+  // concentrates both kernels inside the band.
   cfg.repetitions = 3;
   for (uint32_t width = 2; width <= max_width; ++width) {
     LayeredGraphOptions opt;
@@ -193,8 +195,8 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
     pm.max_denominator = 8;
     pm.seed = width + 2;
     ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
-    const CellResult r = MeasureCell("e4.w" + std::to_string(width), qi.query,
-                                     pdb, cfg);
+    const CellResult r = MeasureTreeCell("e4.w" + std::to_string(width),
+                                         qi.query, pdb, cfg);
     // Accuracy gate on the largest oracle-feasible cell: the (deterministic,
     // fixed-seed) estimate must sit inside the configured ε band around the
     // exact oracle. The oracle's subset DP is worst-case exponential and
@@ -236,9 +238,7 @@ void SweepQueryScaling(uint32_t max_len, size_t smoke_pool) {
       "E8 sweep — path query length 2..%u, layered width 4, density 1.0, "
       "median-of-3\n",
       max_len);
-  std::printf("  %-10s %-12s %-12s %-12s %-8s %-8s %s\n", "cell",
-              "legacy_ms", "cached_ms", "fast_ms", "speedup", "fast_spd",
-              "log2(P)");
+  PrintHeader();
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
   cfg.seed = 17;
@@ -255,29 +255,24 @@ void SweepQueryScaling(uint32_t max_len, size_t smoke_pool) {
     pm.max_denominator = 8;
     pm.seed = i;
     ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
-    MeasureCell("e8.i" + std::to_string(i), qi.query, pdb, cfg);
+    MeasureTreeCell("e8.i" + std::to_string(i), qi.query, pdb, cfg);
   }
   std::printf("\n");
 }
 
 // Path-route sweep: path query length 3..max_len on a fixed layered
-// database, estimated on the string route (CountNFA). Timings are the
-// fastest of three runs per mode: a cell is tens of milliseconds, so a
-// single run would put scheduler noise into the gated ratios.
+// database, estimated on the string route (CountNFA).
 void SweepPathRoute(uint32_t max_len) {
   std::printf(
       "Path sweep — string route (CountNFA), path query length 3..%u, "
-      "layered width 3, density 0.7, median-of-3, best of 3 runs\n",
+      "layered width 3, density 0.7, median-of-3\n",
       max_len);
-  std::printf("  %-10s %-12s %-12s %-12s %-8s %-8s %s\n", "cell",
-              "legacy_ms", "cached_ms", "fast_ms", "speedup", "fast_spd",
-              "log2(P)");
+  PrintHeader();
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
   cfg.seed = 23;
   cfg.pool_size = 64;
   cfg.repetitions = 3;
-  cfg.num_threads = 1;
   for (uint32_t len = 3; len <= max_len; ++len) {
     auto qi = MakePathQuery(len).MoveValue();
     LayeredGraphOptions opt;
@@ -289,53 +284,13 @@ void SweepPathRoute(uint32_t max_len) {
     pm.max_denominator = 8;
     pm.seed = len + 5;
     ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
-    // Best-of-3 wall time of one estimate under `mode_cfg`.
-    auto Time = [&](const EstimatorConfig& mode_cfg, PathPqeResult* out) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int run = 0; run < 3; ++run) {
-        const auto t0 = std::chrono::steady_clock::now();
-        *out = PathPqeEstimate(qi.query, pdb, mode_cfg).MoveValue();
-        best = std::min(best, MillisSince(t0));
-      }
-      return best;
-    };
-    EstimatorConfig mode_cfg = cfg;
-    mode_cfg.disable_hotpath_caches = true;
-    PathPqeResult legacy;
-    const double legacy_ms = Time(mode_cfg, &legacy);
-    mode_cfg.disable_hotpath_caches = false;
-    PathPqeResult cached;
-    const double cached_ms = Time(mode_cfg, &cached);
-    // Draw-identical by construction, as on the tree route.
-    PQE_CHECK(cached.log2_probability == legacy.log2_probability);
-    PQE_CHECK(cached.string_count == legacy.string_count);
-    mode_cfg.kernel_mode = KernelMode::kFast;
-    PathPqeResult fast;
-    const double fast_ms = Time(mode_cfg, &fast);
-    PQE_CHECK(std::isfinite(fast.log2_probability));
-
-    const std::string prefix =
-        "pqe.bench.counting_hotpath.path.l" + std::to_string(len);
-    auto& reg = obs::MetricRegistry::Global();
-    reg.GetGauge(prefix + ".legacy_ms").Set(legacy_ms);
-    reg.GetGauge(prefix + ".cached_ms").Set(cached_ms);
-    reg.GetGauge(prefix + ".fast_ms").Set(fast_ms);
-    reg.GetGauge(prefix + ".speedup").Set(legacy_ms / cached_ms);
-    reg.GetGauge(prefix + ".fast_speedup").Set(cached_ms / fast_ms);
-    reg.GetGauge(prefix + ".memo_hits")
-        .Set(static_cast<double>(cached.stats.runstates_memo_hits));
-    reg.GetGauge(prefix + ".memo_misses")
-        .Set(static_cast<double>(cached.stats.runstates_memo_misses));
-    reg.GetGauge(prefix + ".runstates_steps")
-        .Set(static_cast<double>(cached.stats.runstates_steps));
-    std::printf("  %-10s %-12.1f %-12.1f %-12.1f %-8.2f %-8.2f %-12.4f "
-                "hits=%zu misses=%zu steps=%zu\n",
-                ("path.l" + std::to_string(len)).c_str(), legacy_ms,
-                cached_ms, fast_ms, legacy_ms / cached_ms,
-                cached_ms / fast_ms, cached.log2_probability,
-                cached.stats.runstates_memo_hits,
-                cached.stats.runstates_memo_misses,
-                cached.stats.runstates_steps);
+    const CellResult r = MeasureCell(
+        "path.l" + std::to_string(len),
+        [&](const EstimatorConfig& c) {
+          return PathPqeEstimate(qi.query, pdb, c).MoveValue();
+        },
+        cfg);
+    PQE_CHECK(std::isfinite(r.fast_log2_probability));
   }
   std::printf("\n");
 }
@@ -388,8 +343,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   std::printf(
-      "E11 — counting-core hot path: cached vs legacy (single thread)\n"
-      "==============================================================\n\n"
+      "E11 — counting-core hot path: exact and fast tiers (single thread)\n"
+      "=================================================================\n\n"
       "%s",
       smoke ? "smoke mode: two smallest cells per sweep\n\n" : "\n");
   g_calibration_mops = obs::CalibrationMops();
@@ -405,8 +360,8 @@ int main(int argc, char** argv) {
   SweepDataScaling(smoke ? 3 : 7, smoke ? 96 : 0);
   SweepQueryScaling(smoke ? 3 : 7, smoke ? 24 : 0);
   SweepPathRoute(smoke ? 4 : 6);
-  std::printf("determinism: every cell's cached estimate matched the legacy "
-              "estimate bit for bit\n");
+  std::printf("determinism: every cell's five runs per tier returned "
+              "identical log2(P) bits\n");
   if (!metrics_out.empty()) {
     Status status = WriteMetricsWithHost(metrics_out);
     if (!status.ok()) {

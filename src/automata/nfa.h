@@ -81,15 +81,7 @@ class Nfa {
   /// by reading `word`, as a bitvector indexed by StateId.
   std::vector<bool> StatesAfter(const std::vector<SymbolId>& word) const;
 
-  /// Sparse subset simulation: the same reachable set as a sorted state
-  /// list. Cost tracks the active-set size times out-degree per step rather
-  /// than the automaton size. CountNFA's legacy ablation tier
-  /// (disable_hotpath_caches) runs it on every materialized prefix; the
-  /// cached tiers step interned sets with ActiveStep instead.
-  std::vector<StateId> ActiveStatesAfter(
-      const std::vector<SymbolId>& word) const;
-
-  /// One step of the sparse subset simulation: the sorted successor set of
+  /// One step of a sparse subset simulation: the sorted successor set of
   /// the sorted state set `current` under `symbol`, written into `*next`
   /// (scratch-friendly: reuses next's capacity); `current` must not alias
   /// `*next`. It scans every out-edge of every state in `current`. CountNFA's

@@ -19,7 +19,8 @@ namespace pqe {
 enum class KernelMode : uint8_t {
   /// Scalar draws: rejection-sampled bounded picks, cumulative-table
   /// pickers, one RNG word at a time. Bit-identical across thread counts
-  /// and versions — the golden path every capture/replay oracle runs on.
+  /// and versions — the golden path every capture/replay oracle runs on,
+  /// pinned by committed goldens in tests/counting_hotpath_test.cc.
   kExact = 0,
   /// Batched SoA kernels: O(1) alias-table picks, block-generated RNG,
   /// multiply-shift bounded draws over contiguous reusable arenas.
@@ -78,15 +79,7 @@ struct EstimatorConfig {
   /// every (state, size) stratum with a non-empty language is processed,
   /// even those that cannot occur inside an accepted object of size n.
   bool disable_backward_pruning = false;
-  /// Ablation switch: fall back to the pre-optimization hot path — per-draw
-  /// PickWeightedIndex (no reusable pickers) and materialize-then-simulate
-  /// membership checks (no run-state memo). Draw-for-draw identical to the
-  /// cached path by construction (docs/performance.md), so estimates match
-  /// bit for bit; bench_counting_hotpath uses it as the in-binary baseline.
-  bool disable_hotpath_caches = false;
-  /// Sampling-kernel tier (see KernelMode). kFast implies the cached hot
-  /// path; it is independent of `disable_hotpath_caches`, which only
-  /// ablates the kExact tier.
+  /// Sampling-kernel tier (see KernelMode).
   KernelMode kernel_mode = KernelMode::kExact;
   /// Cooperative cancellation (optional, not owned; must outlive the run).
   /// The counters poll the token once per processed stratum and every few
@@ -177,17 +170,15 @@ class ScopedSpan;
 }  // namespace obs
 
 /// Observability hook shared by CountNFA/CountNFTA: attaches every
-/// CountStats field (plus the derived canonical_rejections, the
-/// `hotpath` = "cached"/"legacy" mode marker and the `kernels` =
-/// "exact"/"fast" tier) to `span` and folds the run into the global metric
-/// registry under `prefix` (e.g. "pqe.count_nfta"), plus the cross-counter
-/// `counting.picker_builds` / `counting.alias_builds` /
+/// CountStats field (plus the derived canonical_rejections and the
+/// `kernels` = "exact"/"fast" tier) to `span` and folds the run into the
+/// global metric registry under `prefix` (e.g. "pqe.count_nfta"), plus the
+/// cross-counter `counting.picker_builds` / `counting.alias_builds` /
 /// `counting.batch_draws` / `counting.runstates_memo_{hits,misses}` /
 /// `counting.runstates_steps` hot-path counters. One call per counter run,
 /// not per sample.
 void RecordCountRun(const char* prefix, const CountStats& stats,
-                    bool hotpath_cached, KernelMode kernel_mode,
-                    obs::ScopedSpan* span);
+                    KernelMode kernel_mode, obs::ScopedSpan* span);
 
 }  // namespace pqe
 

@@ -28,8 +28,9 @@ constexpr size_t kDrawBatch = 256;
 
 // A pooled sample of A(q, l), stored as a derivation reference: the incoming
 // transition taken and the index of the prefix sample in the predecessor
-// stratum's pool. Strings are materialized on demand (O(l)), so pools cost
-// O(1) memory per sample.
+// stratum's pool. Strings are never materialized (membership replays the
+// ref chain through the run-state memo), so pools cost O(1) memory per
+// sample.
 struct SampleRef {
   uint32_t transition = 0;  // index into nfa.transitions()
   uint32_t prefix = 0;      // index into the pool of stratum (l-1, from)
@@ -44,7 +45,6 @@ class NfaCounter {
         config_(config),
         rng_(config.seed),
         fast_(config.kernel_mode == KernelMode::kFast),
-        cached_(fast_ || !config.disable_hotpath_caches),
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
@@ -63,15 +63,13 @@ class NfaCounter {
     // arenas every grow-and-copy.
     const size_t max_pooled = stats_.strata_live * pool_target_;
     pool_arena_.reserve(max_pooled);
-    if (cached_) {
-      reach_.reserve(max_pooled);
-      // Subset id 0 is the "not computed" sentinel of reach_; the run-state
-      // set of the empty string — the sorted initial states — is subset 1,
-      // and level-0 samples all resolve to it.
-      step_scratch_ = nfa_.initial_states();
-      std::sort(step_scratch_.begin(), step_scratch_.end());
-      initial_set_ = sets_.Intern(step_scratch_);
-    }
+    reach_.reserve(max_pooled);
+    // Subset id 0 is the "not computed" sentinel of reach_; the run-state
+    // set of the empty string — the sorted initial states — is subset 1,
+    // and level-0 samples all resolve to it.
+    step_scratch_ = nfa_.initial_states();
+    std::sort(step_scratch_.begin(), step_scratch_.end());
+    initial_set_ = sets_.Intern(step_scratch_);
     // Level 0: A(q, 0) = {λ} iff q is initial.
     for (StateId q = 0; q < num_states_; ++q) {
       if (nfa_.IsInitial(q) && live_.Test(At(0, q))) {
@@ -81,7 +79,7 @@ class NfaCounter {
         pool_arena_.push_back(SampleRef{});  // the empty string
       }
     }
-    if (cached_) reach_.resize(pool_arena_.size());
+    reach_.resize(pool_arena_.size());
     for (size_t l = 1; l <= n_; ++l) {
       // One cancellation poll per length stratum, plus finer-grained polls
       // in the rejection loops (an attempt budget can dominate a stratum).
@@ -136,19 +134,6 @@ class NfaCounter {
     }
     stats_.strata_total += cells;
     stats_.strata_live += live_.Count();
-  }
-
-  // Materializes the string of pooled sample idx of stratum (l, q).
-  std::vector<SymbolId> Materialize(StateId q, size_t l, uint32_t idx) const {
-    std::vector<SymbolId> out(l);
-    uint32_t cur = PoolIndex(l, q, idx);
-    for (size_t cur_l = l; cur_l > 0; --cur_l) {
-      const SampleRef& ref = pool_arena_[cur];
-      const Nfa::Transition& t = nfa_.transitions()[ref.transition];
-      out[cur_l - 1] = t.symbol;
-      cur = PoolIndex(cur_l - 1, t.from, ref.prefix);
-    }
-    return out;
   }
 
   // Memoized membership oracle: the sorted set of states the automaton can
@@ -231,28 +216,18 @@ class NfaCounter {
   // The drawer mode every weighted pick in this counter routes through —
   // the single kernel-mode dispatch point.
   IndexDrawer::Mode DrawMode() const {
-    if (fast_) return IndexDrawer::Mode::kAlias;
-    return cached_ ? IndexDrawer::Mode::kCached : IndexDrawer::Mode::kLegacy;
+    return fast_ ? IndexDrawer::Mode::kAlias : IndexDrawer::Mode::kCached;
   }
 
   // Canonical check: the chosen transition must be the first (by transition
   // index) in the group whose predecessor state can be reached on the
-  // sampled prefix — decided exactly by simulation (memoized over the
-  // derivation ref; the legacy ablation path re-simulates the materialized
-  // prefix from scratch).
+  // sampled prefix — decided exactly by simulation, memoized over the
+  // derivation ref.
   bool IsCanonical(const Group& g, const SampleRef& candidate, size_t l) {
     const Nfa::Transition* trans = nfa_.transitions().data();
     const Nfa::Transition& t = trans[candidate.transition];
     ++stats_.membership_checks;
-    std::vector<StateId> reach_storage;
-    Span<StateId> reach;
-    if (cached_) {
-      reach = ReachStates(t.from, l - 1, candidate.prefix);
-    } else {
-      reach_storage = nfa_.ActiveStatesAfter(
-          Materialize(t.from, l - 1, candidate.prefix));
-      reach = Span<StateId>(reach_storage);
-    }
+    const Span<StateId> reach = ReachStates(t.from, l - 1, candidate.prefix);
     uint32_t canonical = candidate.transition;
     for (uint32_t m = g.begin; m < g.end; ++m) {
       const uint32_t other_idx = members_[m].transition;
@@ -359,9 +334,7 @@ class NfaCounter {
         continue;
       }
       // One drawer build per group, reused across the whole rejection loop
-      // (the legacy ablation path redoes the scan-and-scale work per draw;
-      // legacy and cached both consume one NextDouble per pick, so their
-      // draws are bit-identical; the alias mode is the fast tier).
+      // (the alias mode is the fast tier).
       draw_weights_.clear();
       for (uint32_t m = g.begin; m < g.end; ++m) {
         draw_weights_.push_back(
@@ -492,7 +465,7 @@ class NfaCounter {
     const size_t pool_len = pool_arena_.size() - pool_begin;
     pool_[At(l, q)] = ArenaRun{static_cast<uint32_t>(pool_begin),
                            static_cast<uint32_t>(pool_len)};
-    if (cached_) reach_.resize(pool_arena_.size());
+    reach_.resize(pool_arena_.size());
     stats_.pool_entries += pool_len;
   }
 
@@ -523,14 +496,7 @@ class NfaCounter {
     // the smallest accepting state reachable on the sampled string.
     auto AcceptsCanonically = [&](StateId q, uint32_t idx) {
       ++stats_.membership_checks;
-      std::vector<StateId> reach_storage;
-      Span<StateId> reach;
-      if (cached_) {
-        reach = ReachStates(q, n_, idx);
-      } else {
-        reach_storage = nfa_.ActiveStatesAfter(Materialize(q, n_, idx));
-        reach = Span<StateId>(reach_storage);
-      }
+      const Span<StateId> reach = ReachStates(q, n_, idx);
       StateId canonical = q;
       for (StateId other : finals) {
         if (std::binary_search(reach.begin(), reach.end(), other)) {
@@ -600,8 +566,7 @@ class NfaCounter {
   const size_t num_states_;
   const EstimatorConfig& config_;
   Rng rng_;
-  const bool fast_;    // batched fast kernels (kernel_mode = kFast)
-  const bool cached_;  // hot-path caches on (off = ablation baseline)
+  const bool fast_;  // batched fast kernels (kernel_mode = kFast)
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
@@ -654,8 +619,7 @@ Result<CountEstimate> CountNfaStrings(const Nfa& nfa, size_t n,
   if (reps == 1) {
     NfaCounter counter(nfa, n, config);
     PQE_ASSIGN_OR_RETURN(CountEstimate est, counter.Run());
-    RecordCountRun("pqe.count_nfa", est.stats, !config.disable_hotpath_caches,
-                   config.kernel_mode, &span);
+    RecordCountRun("pqe.count_nfa", est.stats, config.kernel_mode, &span);
     return est;
   }
   // Median-of-R amplification over independent seeds. Reps are independent
@@ -719,8 +683,7 @@ Result<CountEstimate> CountNfaStrings(const Nfa& nfa, size_t n,
             });
   CountEstimate out = runs[runs.size() / 2];
   out.stats = aggregate;
-  RecordCountRun("pqe.count_nfa", out.stats, !config.disable_hotpath_caches,
-                 config.kernel_mode, &span);
+  RecordCountRun("pqe.count_nfa", out.stats, config.kernel_mode, &span);
   return out;
 }
 

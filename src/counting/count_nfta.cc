@@ -53,7 +53,6 @@ class NftaCounter {
         config_(config),
         rng_(config.seed),
         fast_(config.kernel_mode == KernelMode::kFast),
-        cached_(fast_ || !config.disable_hotpath_caches),
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
@@ -477,8 +476,7 @@ class NftaCounter {
   // The drawer mode every weighted pick in this counter routes through —
   // the single kernel-mode dispatch point.
   IndexDrawer::Mode DrawMode() const {
-    if (fast_) return IndexDrawer::Mode::kAlias;
-    return cached_ ? IndexDrawer::Mode::kCached : IndexDrawer::Mode::kLegacy;
+    return fast_ ? IndexDrawer::Mode::kAlias : IndexDrawer::Mode::kCached;
   }
 
   obs::Histogram& BatchSizeHist() {
@@ -605,9 +603,7 @@ class NftaCounter {
         continue;
       }
       // One drawer build per group, reused across the whole rejection loop
-      // (the legacy ablation path redoes the scan-and-scale work per draw;
-      // legacy and cached both consume one NextDouble per pick, so their
-      // draws are bit-identical; the alias mode is the fast tier).
+      // (the alias mode is the fast tier).
       draw_weights_.clear();
       for (uint32_t k = g.begin; k < g.end; ++k) {
         draw_weights_.push_back(members_[k].weight);
@@ -775,9 +771,9 @@ class NftaCounter {
   // transition, tuple id) key (canonical_). A membership check on memoized
   // slots is then one slot read and one table probe. Pools referenced by a
   // sample live in strictly smaller, already finalized strata, so no memo
-  // entry invalidates within a run. The answers are the sets the
-  // materialize-and-simulate legacy oracle computes, so every draw is
-  // unchanged.
+  // entry invalidates within a run. The answers are the sets a bottom-up
+  // simulation of the materialized tree computes (Nfta::RunStates), so the
+  // memo changes no draw.
 
   static constexpr uint32_t kEmptyTuple = 1;
 
@@ -918,11 +914,9 @@ class NftaCounter {
   // The canonical generating transition for the tree denoted by `candidate`
   // in a stratum of q: the smallest-index τ' ∈ out(q) whose symbol and arity
   // match and whose child states accept the respective subtrees (decided
-  // exactly by bottom-up simulation — through the interned run-state sets,
-  // or from scratch on the ablation path).
+  // exactly by bottom-up simulation through the interned run-state sets).
   uint32_t CanonicalTransition(StateId q, const TreeSample& candidate) {
     ++stats_.membership_checks;
-    if (!cached_) return CanonicalTransitionLegacy(q, candidate);
     const Nfta::Transition* trans = nfta_.transitions().data();
     const Nfta::Transition& t = trans[candidate.transition];
     const size_t m = t.children.size();
@@ -939,34 +933,6 @@ class NftaCounter {
         canonical_.Insert(key, tau_idx);
         return tau_idx;
       }
-    }
-    // The candidate itself always matches; unreachable.
-    PQE_CHECK(false);
-    return candidate.transition;
-  }
-
-  uint32_t CanonicalTransitionLegacy(StateId q,
-                                     const TreeSample& candidate) {
-    LabeledTree tree = [&] {
-      const Nfta::Transition& t = nfta_.transition(candidate.transition);
-      LabeledTree out(t.symbol);
-      MaterializeForest(t.children.size(), candidate.forest, &out,
-                        out.root());
-      return out;
-    }();
-    const std::vector<std::vector<StateId>> run = nfta_.RunStates(tree);
-    const auto& kids = tree.children(tree.root());
-    const SymbolId label = tree.label(tree.root());
-    for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
-      const Nfta::Transition& t = nfta_.transition(tau_idx);
-      if (t.symbol != label || t.children.size() != kids.size()) continue;
-      bool ok = true;
-      for (size_t i = 0; i < kids.size() && ok; ++i) {
-        const auto& child_states = run[kids[i]];
-        ok = std::binary_search(child_states.begin(), child_states.end(),
-                                t.children[i]);
-      }
-      if (ok) return tau_idx;
     }
     // The candidate itself always matches; unreachable.
     PQE_CHECK(false);
@@ -1080,8 +1046,7 @@ class NftaCounter {
   const size_t n_;
   const EstimatorConfig& config_;
   Rng rng_;
-  const bool fast_;    // batched fast kernels (kernel_mode = kFast)
-  const bool cached_;  // hot-path caches on (off = ablation baseline)
+  const bool fast_;  // batched fast kernels (kernel_mode = kFast)
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
@@ -1182,8 +1147,8 @@ Result<NftaSampleResult> CountAndSampleNftaTrees(
   NftaSampleResult out;
   PQE_ASSIGN_OR_RETURN(out.estimate, counter.Run());
   out.samples = counter.SampleAccepted(num_samples);
-  RecordCountRun("pqe.count_nfta", out.estimate.stats,
-                 !config.disable_hotpath_caches, config.kernel_mode, &span);
+  RecordCountRun("pqe.count_nfta", out.estimate.stats, config.kernel_mode,
+                 &span);
   return out;
 }
 
@@ -1201,8 +1166,7 @@ Result<CountEstimate> CountNftaTrees(const Nfta& nfta, size_t n,
   if (reps == 1) {
     NftaCounter counter(nfta, n, config);
     PQE_ASSIGN_OR_RETURN(CountEstimate est, counter.Run());
-    RecordCountRun("pqe.count_nfta", est.stats,
-                   !config.disable_hotpath_caches, config.kernel_mode, &span);
+    RecordCountRun("pqe.count_nfta", est.stats, config.kernel_mode, &span);
     return est;
   }
   // Median-of-R amplification over independent seeds — the standard FPRAS
@@ -1270,8 +1234,7 @@ Result<CountEstimate> CountNftaTrees(const Nfta& nfta, size_t n,
             });
   CountEstimate out = runs[runs.size() / 2];
   out.stats = aggregate;
-  RecordCountRun("pqe.count_nfta", out.stats,
-                 !config.disable_hotpath_caches, config.kernel_mode, &span);
+  RecordCountRun("pqe.count_nfta", out.stats, config.kernel_mode, &span);
   return out;
 }
 

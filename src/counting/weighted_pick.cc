@@ -149,14 +149,14 @@ Status WeightedPicker::UpdateWeight(const std::vector<ExtFloat>& weights,
 size_t WeightedPicker::Pick(Rng* rng) const {
   PQE_CHECK(!cum_.empty());
   const double x = rng->NextDouble() * total_;
-  // First index whose inclusive prefix sum exceeds x — the same index the
-  // legacy linear scan (`first i with x < acc`) returns.
+  // First index whose inclusive prefix sum exceeds x — the same index
+  // PickWeightedIndex's linear scan (`first i with x < acc`) returns.
   const auto it = std::upper_bound(cum_.begin(), cum_.end(), x);
   if (it != cum_.end()) {
     return static_cast<size_t>(it - cum_.begin());
   }
-  // Floating-point edge (x >= total despite NextDouble < 1): match the
-  // legacy fallback to the last index with non-zero weight.
+  // Floating-point edge (x >= total despite NextDouble < 1): match
+  // PickWeightedIndex's fallback to the last index with non-zero weight.
   return last_nonzero_;
 }
 
@@ -228,7 +228,6 @@ Status AliasPicker::TryBuild(const std::vector<ExtFloat>& weights,
 void IndexDrawer::Prepare(Mode mode, const std::vector<ExtFloat>& weights,
                           CountStats* stats) {
   mode_ = mode;
-  weights_ = &weights;
   switch (mode) {
     case Mode::kCached:
       picker_.Build(weights);
@@ -237,8 +236,6 @@ void IndexDrawer::Prepare(Mode mode, const std::vector<ExtFloat>& weights,
     case Mode::kAlias:
       alias_.Build(weights);
       if (stats != nullptr) ++stats->alias_builds;
-      break;
-    case Mode::kLegacy:
       break;
   }
 }

@@ -90,10 +90,10 @@ Result<KarpLubyResult> KarpLubyEstimate(const DnfLineage& lineage,
   span.AttrText("kernels", KernelModeToString(config.kernel_mode));
 
   // Clause picker built once and shared read-only across shards (picks are
-  // const): the legacy per-sample PickWeightedIndex rescanned and rescaled
-  // all clause weights on every draw. The exact tier's cumulative picker is
-  // draw-identical to it by construction, so estimates are unchanged; the
-  // fast tier uses the O(1) alias table instead (statistically equivalent).
+  // const), so no draw rescans or rescales the clause weights. The exact
+  // tier's cumulative picker is draw-identical to the one-shot
+  // PickWeightedIndex by construction; the fast tier uses the O(1) alias
+  // table instead (statistically equivalent).
   WeightedPicker clause_picker;
   AliasPicker clause_alias;
   if (fast) {

@@ -2,10 +2,10 @@
 // WeightedPicker must be draw-identical to the one-shot PickWeightedIndex,
 // the CSR-flattened automata accessors must agree with a naive recomputation
 // of the old per-object layouts, Nfta copies must rebase their child-arena
-// spans, and the cached estimator paths (pickers + run-state memo) must
-// return bit-identical estimates to the legacy ablation paths — the memo is
-// exercised against the uncached RunStates oracle through that equality,
-// over dozens of randomized automata.
+// spans, and the exact-tier estimators (pickers + interned run-state sets)
+// must reproduce committed golden estimates and draw stats bit for bit over
+// dozens of randomized automata, as must the whole tree- and string-route
+// pipelines on one cell each.
 
 #include <algorithm>
 #include <cmath>
@@ -17,12 +17,16 @@
 #include "automata/nfa.h"
 #include "automata/nfta.h"
 #include "automata/tree.h"
+#include "core/path_pqe.h"
+#include "core/pqe.h"
 #include "counting/count_nfa.h"
 #include "counting/count_nfta.h"
 #include "counting/exact.h"
 #include "counting/weighted_pick.h"
+#include "cq/builders.h"
 #include "util/extfloat.h"
 #include "util/rng.h"
+#include "workload/generators.h"
 
 namespace pqe {
 namespace {
@@ -218,21 +222,6 @@ TEST(AliasPickerTest, ExtremeExponentsRenormalized) {
   for (int i = 0; i < 2000; ++i) ASSERT_EQ(picker.Pick(&rng), 1u);
 }
 
-TEST(IndexDrawerTest, LegacyModeBuildsNothingAndMatchesOneShot) {
-  std::vector<ExtFloat> weights = {ExtFloat::FromUint64(1),
-                                   ExtFloat::FromUint64(4),
-                                   ExtFloat::FromUint64(2)};
-  CountStats stats;
-  IndexDrawer drawer;
-  drawer.Prepare(IndexDrawer::Mode::kLegacy, weights, &stats);
-  EXPECT_EQ(stats.picker_builds, 0u);
-  EXPECT_EQ(stats.alias_builds, 0u);
-  Rng a(42), b(42);
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(drawer.Draw(&a), PickWeightedIndex(&b, weights));
-  }
-}
-
 TEST(IndexDrawerTest, CachedModeDrawIdenticalAndCounted) {
   std::vector<ExtFloat> weights = {ExtFloat::FromUint64(5),
                                    ExtFloat::FromUint64(1)};
@@ -405,42 +394,93 @@ TEST(CsrEquivalenceTest, NftaSelfAliasedAddTransition) {
   }
 }
 
-// --- Cached vs legacy estimator equality ---------------------------------
+// --- Exact-tier goldens ----------------------------------------------------
 
-EstimatorConfig HotpathConfig(uint64_t seed, bool legacy) {
+EstimatorConfig HotpathConfig(uint64_t seed) {
   EstimatorConfig cfg;
   cfg.epsilon = 0.3;
   cfg.seed = seed;
   cfg.pool_size = 48;
-  cfg.disable_hotpath_caches = legacy;
   return cfg;
 }
 
-// The cached paths (per-group pickers + run-state memo) consume the same
-// RNG stream and must make the same canonical decisions as the legacy
-// paths (per-draw PickWeightedIndex + materialize-and-simulate), so the
-// estimates and sampling stats must match bit for bit. This is also the
-// memo-correctness test: a single divergent membership answer anywhere
-// changes acceptance counts and shows up here.
-TEST(HotpathEquivalenceTest, CountNftaCachedMatchesLegacy) {
+// KernelMode::kExact promises estimates bit-identical across thread counts
+// and versions; these committed goldens check that promise. Each entry is
+// one run's estimate, exactly (a hex-float literal: every value here fits a
+// double), and the stats its draws determine. They were recorded from the
+// counters' original materialize-and-simulate membership oracle and
+// cross-checked against the interned run-state sets, which consume the same
+// RNG stream and must make the same canonical decisions: a single divergent
+// membership answer anywhere changes an acceptance count and fails here.
+struct Golden {
+  double value;
+  CountStats draws;  // strata_total .. membership_checks; the rest 0
+};
+
+// The stats a run's draws determine: the cached tier's own bookkeeping
+// (picker builds, run-state memo hits and misses, steps) is zeroed.
+CountStats Draws(CountStats stats) {
+  stats.picker_builds = 0;
+  stats.runstates_memo_hits = 0;
+  stats.runstates_memo_misses = 0;
+  stats.runstates_steps = 0;
+  return stats;
+}
+
+void ExpectGolden(const CountEstimate& est, const Golden& golden,
+                  uint64_t seed) {
+  EXPECT_TRUE(est.value == ExtFloat::FromDouble(golden.value))
+      << "seed " << seed << ": " << est.value.ToString() << " vs golden "
+      << ExtFloat::FromDouble(golden.value).ToString();
+  EXPECT_EQ(Draws(est.stats).ToString(), golden.draws.ToString())
+      << "seed " << seed;
+}
+
+// CountNftaTrees on RandomNfta(&Rng(0x9e1), ...) cases, seeds 1..30.
+constexpr Golden kRandomNftaGolden[] = {
+    {0x0p+0, {70, 0, 0, 0, 0, 0, 0}},  // 1: n 4
+    {0x1.2p+4, {104, 30, 1440, 0, 0, 0, 0}},  // 2: n 8
+    {0x0p+0, {58, 0, 0, 0, 0, 0, 0}},  // 3: n 3
+    {0x0p+0, {127, 0, 0, 0, 0, 0, 0}},  // 4: n 6
+    {0x0p+0, {129, 0, 0, 0, 0, 0, 0}},  // 5: n 8
+    {0x1.6p+5, {196, 50, 2400, 240, 240, 0, 240}},  // 6: n 7
+    {0x0p+0, {211, 0, 0, 0, 0, 0, 0}},  // 7: n 6
+    {0x1.6p+3, {135, 43, 2064, 240, 240, 0, 240}},  // 8: n 6
+    {0x1p+3, {114, 25, 1200, 54, 48, 0, 54}},  // 9: n 8
+    {0x1p+2, {189, 19, 912, 48, 48, 0, 48}},  // 10: n 4
+    {0x1.f999999999999p+4, {259, 63, 3024, 320, 288, 0, 320}},  // 11: n 7
+    {0x1p+2, {170, 24, 1152, 0, 0, 0, 0}},  // 12: n 6
+    {0x0p+0, {84, 0, 0, 0, 0, 0, 0}},  // 13: n 7
+    {0x1p+0, {80, 11, 528, 0, 0, 0, 0}},  // 14: n 6
+    {0x1.f5c28f5c28f5cp+0, {94, 10, 480, 100, 48, 0, 100}},  // 15: n 3
+    {0x1p+0, {142, 15, 720, 0, 0, 0, 0}},  // 16: n 8
+    {0x1.97241d8deb8c5p+2, {136, 21, 1008, 132, 96, 0, 132}},  // 17: n 4
+    {0x1.1d041dae0a6ebp+7, {172, 72, 3456, 750, 576, 0, 750}},  // 18: n 5
+    {0x1.a73cc725bfc13p+3, {125, 43, 2064, 177, 96, 0, 177}},  // 19: n 7
+    {0x1p+2, {186, 18, 864, 96, 96, 0, 96}},  // 20: n 5
+    {0x1.a4cac1ae5f4d6p+7, {158, 83, 3984, 1042, 768, 0, 1042}},  // 21: n 7
+    {0x1p+1, {56, 13, 624, 96, 48, 0, 96}},  // 22: n 5
+    {0x1.8p+3, {68, 19, 912, 48, 48, 0, 48}},  // 23: n 6
+    {0x1.8p+4, {110, 46, 2208, 96, 96, 0, 96}},  // 24: n 6
+    {0x0p+0, {50, 0, 0, 0, 0, 0, 0}},  // 25: n 4
+    {0x1.eba2e8ba2e8bap+4, {211, 58, 2784, 295, 288, 0, 295}},  // 26: n 7
+    {0x0p+0, {175, 0, 0, 0, 0, 0, 0}},  // 27: n 5
+    {0x1p+0, {57, 7, 336, 0, 0, 0, 0}},  // 28: n 4
+    {0x1.8p+1, {111, 14, 672, 0, 0, 0, 0}},  // 29: n 5
+    {0x1.314d0fba6683dp+11, {160, 103, 4944, 1643, 1152, 0, 1643}},  // 30: n 8
+};
+
+// This is also the memo-correctness test for random automata: the cached
+// tier answers every membership check through the run-state memo.
+TEST(HotpathEquivalenceTest, CountNftaCachedMatchesGolden) {
   Rng rng(0x9e1);
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     Nfta t = RandomNfta(&rng, 2 + rng.NextBounded(5), 2,
                         4 + rng.NextBounded(12));
     const size_t n = 3 + rng.NextBounded(6);
-    auto legacy = CountNftaTrees(t, n, HotpathConfig(seed, true));
-    auto cached = CountNftaTrees(t, n, HotpathConfig(seed, false));
-    ASSERT_TRUE(legacy.ok() && cached.ok());
-    EXPECT_EQ(cached->value.ToString(), legacy->value.ToString())
-        << "seed " << seed;
-    EXPECT_EQ(cached->stats.attempts, legacy->stats.attempts);
-    EXPECT_EQ(cached->stats.accepted, legacy->stats.accepted);
-    EXPECT_EQ(cached->stats.membership_checks,
-              legacy->stats.membership_checks);
-    EXPECT_EQ(cached->stats.pool_entries, legacy->stats.pool_entries);
-    // Only the cached run builds pickers / touches the memo.
-    EXPECT_EQ(legacy->stats.picker_builds, 0u);
-    EXPECT_EQ(legacy->stats.runstates_memo_hits, 0u);
+    auto cached = CountNftaTrees(t, n, HotpathConfig(seed));
+    ASSERT_TRUE(cached.ok());
+    ExpectGolden(*cached, kRandomNftaGolden[seed - 1], seed);
     if (cached->stats.membership_checks > 0) {
       EXPECT_GT(cached->stats.runstates_memo_hits +
                     cached->stats.runstates_memo_misses,
@@ -468,21 +508,57 @@ Nfta AmbiguousCombNfta() {
   return t;
 }
 
+// CountNftaTrees(AmbiguousCombNfta(), 15, ...), seeds 1..5.
+constexpr Golden kAmbiguousCombGolden[] = {
+    {0x1.f5621fb3f5a9ap+6, {109, 26, 1248, 507, 336, 0, 507}},  // 1
+    {0x1.66d23df7d82b5p+7, {109, 26, 1248, 482, 336, 0, 482}},  // 2
+    {0x1.225dac9b1ff7cp+7, {109, 26, 1248, 497, 336, 0, 497}},  // 3
+    {0x1.28fb9d3ffce07p+7, {109, 26, 1248, 495, 336, 0, 495}},  // 4
+    {0x1.4b83a56c407ebp+7, {109, 26, 1248, 486, 336, 0, 486}},  // 5
+};
+
 TEST(HotpathEquivalenceTest, CountNftaAmbiguousAutomaton) {
   Nfta t = AmbiguousCombNfta();
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    auto legacy = CountNftaTrees(t, 15, HotpathConfig(seed, true));
-    auto cached = CountNftaTrees(t, 15, HotpathConfig(seed, false));
-    ASSERT_TRUE(legacy.ok() && cached.ok());
-    EXPECT_EQ(cached->value.ToString(), legacy->value.ToString())
-        << "seed " << seed;
+    auto cached = CountNftaTrees(t, 15, HotpathConfig(seed));
+    ASSERT_TRUE(cached.ok());
+    ExpectGolden(*cached, kAmbiguousCombGolden[seed - 1], seed);
     EXPECT_GT(cached->stats.membership_checks, 0u);
     EXPECT_GT(cached->stats.runstates_memo_hits, 0u);
     EXPECT_GT(cached->stats.picker_builds, 0u);
   }
 }
 
-TEST(HotpathEquivalenceTest, CountNfaCachedMatchesLegacy) {
+// CountNfaStrings on RandomNfa(&Rng(0x5ca1e), ...) cases, seeds 1..25.
+constexpr Golden kRandomNfaGolden[] = {
+    {0x1.386b96727fc7cp+7, {16, 15, 624, 4406, 912, 0, 4406}},  // 1: n 7
+    {0x1.a7b27da59f046p+2, {35, 21, 816, 553, 288, 0, 553}},  // 2: n 4
+    {0x0p+0, {18, 0, 0, 0, 0, 0, 0}},  // 3: n 5
+    {0x1p+0, {48, 8, 336, 0, 0, 0, 0}},  // 4: n 7
+    {0x1.2c6f04ba393d7p+7, {45, 35, 1584, 800, 576, 0, 800}},  // 5: n 8
+    {0x1p+1, {28, 14, 576, 48, 48, 0, 48}},  // 6: n 6
+    {0x1.f7ed5773a4553p+4, {18, 17, 672, 4418, 1392, 0, 4418}},  // 7: n 5
+    {0x1.85a9a519b84c5p+4, {15, 14, 528, 3284, 912, 0, 3284}},  // 8: n 4
+    {0x0p+0, {21, 0, 0, 0, 0, 0, 0}},  // 9: n 6
+    {0x1.275ea223a17dfp+8, {36, 32, 1440, 4972, 1968, 0, 4972}},  // 10: n 8
+    {0x1.a410262f69388p+3, {10, 8, 336, 1772, 576, 0, 1772}},  // 11: n 4
+    {0x1.14b20191e9badp+5, {30, 24, 1008, 1410, 768, 0, 1410}},  // 12: n 5
+    {0x0p+0, {42, 0, 0, 0, 0, 0, 0}},  // 13: n 5
+    {0x1.374a3b8ddbd22p+6, {28, 23, 1008, 3248, 1200, 0, 3248}},  // 14: n 6
+    {0x1.d9c4a92f1a157p-1, {14, 13, 528, 1078, 528, 0, 1078}},  // 15: n 6
+    {0x1.7eb69d14ca865p+2, {49, 23, 960, 797, 432, 0, 797}},  // 16: n 6
+    {0x1.fddc990881f74p-1, {12, 11, 432, 1861, 432, 0, 1861}},  // 17: n 5
+    {0x1p+0, {54, 9, 384, 0, 0, 0, 0}},  // 18: n 8
+    {0x0p+0, {18, 0, 0, 0, 0, 0, 0}},  // 19: n 5
+    {0x1.0d79435e50d79p+3, {20, 10, 432, 153, 144, 0, 153}},  // 20: n 4
+    {0x1.1306a9936a9b2p+0, {12, 10, 432, 3061, 432, 0, 3061}},  // 21: n 5
+    {0x1.0e10e10e10e11p+0, {63, 10, 432, 91, 48, 0, 91}},  // 22: n 8
+    {0x1.68c2ef1ec24ep-1, {36, 17, 672, 1565, 528, 0, 1565}},  // 23: n 5
+    {0x1.03b88ee23b88fp+2, {42, 16, 624, 326, 240, 0, 326}},  // 24: n 5
+    {0x1p+0, {42, 6, 240, 0, 0, 0, 0}},  // 25: n 5
+};
+
+TEST(HotpathEquivalenceTest, CountNfaCachedMatchesGolden) {
   Rng rng(0x5ca1e);
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     const size_t S = 2 + rng.NextBounded(6);
@@ -490,17 +566,22 @@ TEST(HotpathEquivalenceTest, CountNfaCachedMatchesLegacy) {
     Nfa a = RandomNfa(&rng, S, 1 + rng.NextBounded(2),
                       4 + rng.NextBounded(16));
     const size_t n = 4 + rng.NextBounded(5);
-    auto legacy = CountNfaStrings(a, n, HotpathConfig(seed, true));
-    auto cached = CountNfaStrings(a, n, HotpathConfig(seed, false));
-    ASSERT_TRUE(legacy.ok() && cached.ok());
-    EXPECT_EQ(cached->value.ToString(), legacy->value.ToString())
-        << "seed " << seed;
-    EXPECT_EQ(cached->stats.attempts, legacy->stats.attempts);
-    EXPECT_EQ(cached->stats.accepted, legacy->stats.accepted);
-    EXPECT_EQ(cached->stats.membership_checks,
-              legacy->stats.membership_checks);
+    auto cached = CountNfaStrings(a, n, HotpathConfig(seed));
+    ASSERT_TRUE(cached.ok());
+    ExpectGolden(*cached, kRandomNfaGolden[seed - 1], seed);
   }
 }
+
+// CountNfaStrings on RandomNfa(&Rng(0xa7e7a), ...) cases, seeds 1..6
+// (n = 36, 26, 27, 31, 24, 34).
+constexpr Golden kLongWordsGolden[] = {
+    {0x1.1ec026d9dd527p+36, {370, 355, 16848, 62703, 26448, 0, 62703}},
+    {0x1.5cf8fc1dc7047p+26, {189, 178, 8400, 21615, 9264, 0, 21615}},
+    {0x1.1123191aaf6ffp+20, {224, 186, 8784, 18021, 9888, 0, 18021}},
+    {0x1.b18d83c63d206p+31, {288, 213, 10080, 21271, 9888, 0, 21271}},
+    {0x1.186b10cf68387p+24, {200, 188, 8880, 35632, 12816, 0, 35632}},
+    {0x1.3757872bb3a07p+34, {385, 366, 17376, 58954, 21552, 0, 58954}},
+};
 
 // Long words over a two-letter alphabet: many same-symbol in-transition
 // groups, so the Karp–Luby loop and the run-state memo run in most strata,
@@ -509,29 +590,21 @@ TEST(HotpathEquivalenceTest, CountNfaCachedMatchesLegacy) {
 // every append happens while a chain replay is in progress — the replay
 // must re-take its predecessor view after each append. Any stale view
 // changes a membership answer, and with it the estimate.
-TEST(HotpathEquivalenceTest, CountNfaArenaLongWordsMatchLegacyAndThreads) {
+TEST(HotpathEquivalenceTest, CountNfaArenaLongWordsMatchGoldenAndThreads) {
   Rng rng(0xa7e7a);
   size_t total_misses = 0;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const size_t S = 6 + rng.NextBounded(6);
     Nfa a = RandomNfa(&rng, S, 2, 3 * S + rng.NextBounded(2 * S));
     const size_t n = 24 + rng.NextBounded(16);
-    auto legacy = CountNfaStrings(a, n, HotpathConfig(seed, true));
-    auto cached = CountNfaStrings(a, n, HotpathConfig(seed, false));
-    ASSERT_TRUE(legacy.ok() && cached.ok());
-    EXPECT_TRUE(cached->value == legacy->value)
-        << "seed " << seed << ": " << cached->value.ToString() << " vs "
-        << legacy->value.ToString();
-    EXPECT_EQ(cached->stats.attempts, legacy->stats.attempts);
-    EXPECT_EQ(cached->stats.accepted, legacy->stats.accepted);
-    EXPECT_EQ(cached->stats.membership_checks,
-              legacy->stats.membership_checks);
-    EXPECT_EQ(cached->stats.pool_entries, legacy->stats.pool_entries);
+    auto cached = CountNfaStrings(a, n, HotpathConfig(seed));
+    ASSERT_TRUE(cached.ok());
+    ExpectGolden(*cached, kLongWordsGolden[seed - 1], seed);
     total_misses += cached->stats.runstates_memo_misses;
 
     // The fast tier's median-of-R: the same answer and stats at 1 and 4
     // threads (per-rep counters, fixed-order merge).
-    EstimatorConfig fast = HotpathConfig(seed, false);
+    EstimatorConfig fast = HotpathConfig(seed);
     fast.kernel_mode = KernelMode::kFast;
     fast.repetitions = 4;
     fast.num_threads = 1;
@@ -573,25 +646,25 @@ Nfa ContainsPatternNfa() {
   return a;
 }
 
-// The interned-subset memo must answer exactly what the legacy tier's
-// materialize-and-simulate oracle answers, so every draw-determined stat
-// matches; only the cached tier builds pickers and touches the memo.
-TEST(HotpathEquivalenceTest, CountNfaSubsetMemoMatchesLegacy) {
+// CountNfaStrings(ContainsPatternNfa(), 40, ...), seeds 1..4.
+constexpr Golden kContainsPatternGolden[] = {
+    {0x1.3a2321d9343cdp+40, {164, 155, 7392, 4391, 3552, 0, 4391}},  // 1
+    {0x1.4b231bc8d28ap+40, {164, 155, 7392, 4428, 3552, 0, 4428}},  // 2
+    {0x1.550dda6cf3939p+40, {164, 155, 7392, 4397, 3552, 0, 4397}},  // 3
+    {0x1.1c38b338caabp+40, {164, 155, 7392, 4405, 3552, 0, 4405}},  // 4
+};
+
+// The interned-subset memo must answer exactly what a from-scratch
+// simulation of each sampled prefix answers, so the estimate and every
+// draw-determined stat match the goldens, with far fewer subset steps than
+// memo misses.
+TEST(HotpathEquivalenceTest, CountNfaSubsetMemoMatchesGolden) {
   const Nfa a = ContainsPatternNfa();
   const size_t n = 40;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
-    auto legacy = CountNfaStrings(a, n, HotpathConfig(seed, true));
-    auto cached = CountNfaStrings(a, n, HotpathConfig(seed, false));
-    ASSERT_TRUE(legacy.ok() && cached.ok());
-    EXPECT_TRUE(cached->value == legacy->value)
-        << "seed " << seed << ": " << cached->value.ToString() << " vs "
-        << legacy->value.ToString();
-    CountStats draws = cached->stats;
-    draws.picker_builds = 0;
-    draws.runstates_memo_hits = 0;
-    draws.runstates_memo_misses = 0;
-    draws.runstates_steps = 0;
-    EXPECT_EQ(draws.ToString(), legacy->stats.ToString()) << "seed " << seed;
+    auto cached = CountNfaStrings(a, n, HotpathConfig(seed));
+    ASSERT_TRUE(cached.ok());
+    ExpectGolden(*cached, kContainsPatternGolden[seed - 1], seed);
     EXPECT_GT(cached->stats.runstates_memo_hits, 0u);
     EXPECT_GT(cached->stats.runstates_steps, 0u);
     EXPECT_LT(cached->stats.runstates_steps,
@@ -600,7 +673,7 @@ TEST(HotpathEquivalenceTest, CountNfaSubsetMemoMatchesLegacy) {
     // Each kernel tier's median-of-R: the same answer and stats at 1 and 4
     // threads.
     for (KernelMode mode : {KernelMode::kExact, KernelMode::kFast}) {
-      EstimatorConfig cfg = HotpathConfig(seed, false);
+      EstimatorConfig cfg = HotpathConfig(seed);
       cfg.kernel_mode = mode;
       cfg.repetitions = 4;
       cfg.num_threads = 1;
@@ -645,28 +718,32 @@ Nfta SharedTupleNfta() {
   return t;
 }
 
-// The interned run-state sets must answer exactly what the legacy tier's
-// materialize-and-simulate oracle answers, so the estimate and every
-// draw-determined stat match; only the cached tier builds pickers and
-// touches the memo, and it computes fewer sets than it memoizes slots.
-TEST(HotpathEquivalenceTest, CountNftaInternedMembershipMatchesLegacy) {
-  const std::pair<Nfta, size_t> cases[] = {{SharedTupleNfta(), 13},
-                                           {AmbiguousCombNfta(), 15}};
-  for (const auto& [t, n] : cases) {
+// CountNftaTrees(SharedTupleNfta(), 13, ...), seeds 1..4.
+constexpr Golden kSharedTupleGolden[] = {
+    {0x1.4fd399a82cb1ep+15, {249, 191, 9168, 2957, 1968, 0, 2957}},  // 1
+    {0x1.5485250cf59e1p+15, {249, 191, 9168, 2800, 1968, 0, 2800}},  // 2
+    {0x1.0227920183329p+16, {249, 191, 9168, 3008, 1968, 0, 3008}},  // 3
+    {0x1.b31fbb683e8ccp+15, {249, 191, 9168, 2791, 1968, 0, 2791}},  // 4
+};
+
+// The interned run-state sets must answer exactly what a from-scratch
+// recursion over each sampled tree answers, so the estimate and every
+// draw-determined stat match the goldens; the kernel computes fewer sets
+// than it memoizes slots. (AmbiguousCombNfta at n = 15 shares its seeds
+// 1..4 with CountNftaAmbiguousAutomaton.)
+TEST(HotpathEquivalenceTest, CountNftaInternedMembershipMatchesGolden) {
+  struct Case {
+    Nfta t;
+    size_t n;
+    const Golden* golden;
+  };
+  const Case cases[] = {{SharedTupleNfta(), 13, kSharedTupleGolden},
+                        {AmbiguousCombNfta(), 15, kAmbiguousCombGolden}};
+  for (const auto& [t, n, golden] : cases) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
-      auto legacy = CountNftaTrees(t, n, HotpathConfig(seed, true));
-      auto cached = CountNftaTrees(t, n, HotpathConfig(seed, false));
-      ASSERT_TRUE(legacy.ok() && cached.ok());
-      EXPECT_TRUE(cached->value == legacy->value)
-          << "seed " << seed << ": " << cached->value.ToString() << " vs "
-          << legacy->value.ToString();
-      CountStats draws = cached->stats;
-      draws.picker_builds = 0;
-      draws.runstates_memo_hits = 0;
-      draws.runstates_memo_misses = 0;
-      draws.runstates_steps = 0;
-      EXPECT_EQ(draws.ToString(), legacy->stats.ToString())
-          << "seed " << seed;
+      auto cached = CountNftaTrees(t, n, HotpathConfig(seed));
+      ASSERT_TRUE(cached.ok());
+      ExpectGolden(*cached, golden[seed - 1], seed);
       EXPECT_GT(cached->stats.membership_checks, 0u);
       EXPECT_GT(cached->stats.runstates_memo_hits, 0u);
       EXPECT_GT(cached->stats.runstates_steps, 0u);
@@ -676,7 +753,7 @@ TEST(HotpathEquivalenceTest, CountNftaInternedMembershipMatchesLegacy) {
       // Each kernel tier's median-of-R: the same answer and stats at 1 and
       // 4 threads.
       for (KernelMode mode : {KernelMode::kExact, KernelMode::kFast}) {
-        EstimatorConfig cfg = HotpathConfig(seed, false);
+        EstimatorConfig cfg = HotpathConfig(seed);
         cfg.kernel_mode = mode;
         cfg.repetitions = 4;
         cfg.num_threads = 1;
@@ -721,19 +798,17 @@ TEST(HotpathEquivalenceTest, CountNftaDenseIdLookupMissesBetweenLiveSizes) {
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->ToDecimalString(), "3");
   const ExtFloat three = ExtFloat::FromUint64(3);
-  for (bool legacy : {true, false}) {
-    auto est = CountNftaTrees(t, n, HotpathConfig(5, legacy));
-    ASSERT_TRUE(est.ok());
-    EXPECT_TRUE(est->value == three) << est->value.ToString();
-  }
-  EstimatorConfig fast = HotpathConfig(5, false);
+  auto est = CountNftaTrees(t, n, HotpathConfig(5));
+  ASSERT_TRUE(est.ok());
+  EXPECT_TRUE(est->value == three) << est->value.ToString();
+  EstimatorConfig fast = HotpathConfig(5);
   fast.kernel_mode = KernelMode::kFast;
   auto fast_est = CountNftaTrees(t, n, fast);
   ASSERT_TRUE(fast_est.ok());
   EXPECT_TRUE(fast_est->value == three) << fast_est->value.ToString();
   // Samples come from the root stratum's pool through the dense ids; each
   // must be an accepted tree of size n.
-  auto sampled = CountAndSampleNftaTrees(t, n, HotpathConfig(9, false), 12);
+  auto sampled = CountAndSampleNftaTrees(t, n, HotpathConfig(9), 12);
   ASSERT_TRUE(sampled.ok());
   ASSERT_EQ(sampled->samples.size(), 12u);
   for (const LabeledTree& tree : sampled->samples) {
@@ -744,17 +819,16 @@ TEST(HotpathEquivalenceTest, CountNftaDenseIdLookupMissesBetweenLiveSizes) {
 
 TEST(HotpathEquivalenceTest, MedianOfRWithCaches) {
   // The parallel median-of-R path (with adjacency warmed for the workers)
-  // must agree between modes too, including the aggregated hot-path stats.
+  // must match its golden too, including the aggregated stats.
   Nfta t = AmbiguousCombNfta();
-  EstimatorConfig legacy_cfg = HotpathConfig(0xfeed, true);
-  legacy_cfg.repetitions = 5;
-  legacy_cfg.num_threads = 4;
-  EstimatorConfig cached_cfg = legacy_cfg;
-  cached_cfg.disable_hotpath_caches = false;
-  auto legacy = CountNftaTrees(t, 13, legacy_cfg);
-  auto cached = CountNftaTrees(t, 13, cached_cfg);
-  ASSERT_TRUE(legacy.ok() && cached.ok());
-  EXPECT_EQ(cached->value.ToString(), legacy->value.ToString());
+  EstimatorConfig cfg = HotpathConfig(0xfeed);
+  cfg.repetitions = 5;
+  cfg.num_threads = 4;
+  auto cached = CountNftaTrees(t, 13, cfg);
+  ASSERT_TRUE(cached.ok());
+  const Golden golden = {0x1.0fcbfdf9355a1p+6,
+                         {95, 23, 5520, 2155, 1440, 0, 2155}};
+  ExpectGolden(*cached, golden, 0xfeed);
   EXPECT_GT(cached->stats.picker_builds, 0u);
   EXPECT_GT(cached->stats.runstates_memo_hits, 0u);
 }
@@ -772,11 +846,63 @@ TEST(HotpathEquivalenceTest, CachedEstimateTracksExactCount) {
   auto exact = ExactCountNftaTrees(t, n);
   ASSERT_TRUE(exact.ok());
   const double exact_log2 = ExtFloat::FromBigUint(*exact).Log2();
-  EstimatorConfig cfg = HotpathConfig(0x7e57, false);
+  EstimatorConfig cfg = HotpathConfig(0x7e57);
   cfg.pool_size = 96;
   auto est = CountNftaTrees(t, n, cfg);
   ASSERT_TRUE(est.ok());
   EXPECT_NEAR(est->value.Log2(), exact_log2, 0.6);
+}
+
+// --- Whole-pipeline goldens -----------------------------------------------
+//
+// One cell per route, end to end (skeleton → bind → count), at the
+// bench_counting_hotpath configurations: the tree route's E4 cell e4.w2
+// (PqeEstimate, CountNFTA) and the string route's path cell path.l3
+// (PathPqeEstimate, CountNFA). Each pins log2_probability's bits and the
+// counter's draw-determined stats, recorded like the tables above.
+
+ProbabilisticDatabase LayeredPdb(const QueryInstance& qi, uint32_t width,
+                                 double density, uint64_t graph_seed,
+                                 uint64_t prob_seed) {
+  LayeredGraphOptions opt;
+  opt.width = width;
+  opt.density = density;
+  opt.seed = graph_seed;
+  ProbabilityModel pm;
+  pm.max_denominator = 8;
+  pm.seed = prob_seed;
+  return AttachProbabilities(MakeLayeredPathDatabase(qi, opt).MoveValue(),
+                             pm);
+}
+
+EstimatorConfig PipelineConfig(uint64_t seed, size_t pool_size) {
+  EstimatorConfig cfg;
+  cfg.epsilon = 0.25;
+  cfg.seed = seed;
+  cfg.pool_size = pool_size;
+  cfg.repetitions = 3;
+  cfg.num_threads = 1;
+  return cfg;
+}
+
+TEST(PipelineGoldenTest, TreeRouteE4W2) {
+  auto qi = MakePathQuery(4).MoveValue();
+  const ProbabilisticDatabase pdb = LayeredPdb(qi, 2, 0.6, 2, 4);
+  auto est = PqeEstimate(qi.query, pdb, PipelineConfig(11, 96));
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  EXPECT_EQ(est->log2_probability, -0x1.6dc407e9110fcp+1);
+  const CountStats golden{12688, 298, 85824, 1035, 864, 0, 1035};
+  EXPECT_EQ(Draws(est->stats).ToString(), golden.ToString());
+}
+
+TEST(PipelineGoldenTest, StringRoutePathL3) {
+  auto qi = MakePathQuery(3).MoveValue();
+  const ProbabilisticDatabase pdb = LayeredPdb(qi, 3, 0.7, 3, 8);
+  auto est = PathPqeEstimate(qi.query, pdb, PipelineConfig(23, 64));
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  EXPECT_EQ(est->log2_probability, -0x1.3f84a6a2488p-3);
+  const CountStats golden{87570, 1003, 191040, 37219, 35136, 0, 37219};
+  EXPECT_EQ(Draws(est->stats).ToString(), golden.ToString());
 }
 
 }  // namespace

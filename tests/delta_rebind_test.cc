@@ -302,7 +302,7 @@ TEST(DeltaRebindTest, PickerUpdateWeightIsDrawIdenticalToFullBuild) {
 
     EXPECT_EQ(Draws(incremental, 0x5eed, 512), Draws(fresh, 0x5eed, 512))
         << c.name;
-    // And both stay draw-identical to the legacy one-shot scan.
+    // And both stay draw-identical to the one-shot PickWeightedIndex scan.
     Rng a(0xabc), b(0xabc);
     for (size_t i = 0; i < 64; ++i) {
       EXPECT_EQ(incremental.Pick(&a), PickWeightedIndex(&b, updated))

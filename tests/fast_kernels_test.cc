@@ -219,7 +219,8 @@ TEST(FastKernelsTest, FastModeFixedSeedReproducible) {
   auto a = CountNftaTrees(t, 11, KernelConfig(0xf00, KernelMode::kFast));
   auto b = CountNftaTrees(t, 11, KernelConfig(0xf00, KernelMode::kFast));
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->value.ToString(), b->value.ToString());
+  EXPECT_TRUE(a->value == b->value)
+      << a->value.ToString() << " vs " << b->value.ToString();
   EXPECT_EQ(a->stats.attempts, b->stats.attempts);
   EXPECT_EQ(a->stats.accepted, b->stats.accepted);
 }
@@ -237,7 +238,8 @@ TEST(FastKernelsTest, FastModeThreadCountInvariant) {
   auto a = CountNftaTrees(t, 11, serial);
   auto b = CountNftaTrees(t, 11, parallel);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->value.ToString(), b->value.ToString());
+  EXPECT_TRUE(a->value == b->value)
+      << a->value.ToString() << " vs " << b->value.ToString();
   EXPECT_EQ(a->stats.attempts, b->stats.attempts);
 }
 
@@ -245,15 +247,16 @@ TEST(FastKernelsTest, ExactModeUnchangedByKernelField) {
   // kernel_mode=exact must be the same code path as a config that predates
   // the field: estimates and stats bit-identical, no alias machinery.
   Nfta t = CatalanNfta();
-  EstimatorConfig legacy_default;
-  legacy_default.epsilon = 0.3;
-  legacy_default.seed = 0x90d;
-  legacy_default.pool_size = 96;
-  auto base = CountNftaTrees(t, 11, legacy_default);
+  EstimatorConfig default_mode;
+  default_mode.epsilon = 0.3;
+  default_mode.seed = 0x90d;
+  default_mode.pool_size = 96;
+  auto base = CountNftaTrees(t, 11, default_mode);
   auto exact_mode =
       CountNftaTrees(t, 11, KernelConfig(0x90d, KernelMode::kExact));
   ASSERT_TRUE(base.ok() && exact_mode.ok());
-  EXPECT_EQ(exact_mode->value.ToString(), base->value.ToString());
+  EXPECT_TRUE(exact_mode->value == base->value)
+      << exact_mode->value.ToString() << " vs " << base->value.ToString();
   EXPECT_EQ(exact_mode->stats.attempts, base->stats.attempts);
   EXPECT_EQ(exact_mode->stats.accepted, base->stats.accepted);
   EXPECT_EQ(exact_mode->stats.picker_builds, base->stats.picker_builds);
